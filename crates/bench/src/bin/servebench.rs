@@ -62,56 +62,15 @@
 use em_baselines::{MagellanLearner, MagellanMatcher};
 use em_bench::{Args, RESULTS_DIR};
 use em_core::prelude::*;
-use em_serve::{
-    freeze_parts, ExecBackend, Executor, FaultPlan, FrozenMatcher, QuantMode, ServeConfig,
-    ServeMatcher,
-};
+use em_serve::{freeze_parts, FaultPlan, FrozenMatcher, QuantMode, ServeConfig, ServeMatcher};
 use em_tokenizers::Tokenizer;
-use em_transformers::{Batch, ClassificationHead, TransformerConfig, TransformerModel};
+use em_transformers::{ClassificationHead, TransformerConfig, TransformerModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A counting shim over the system allocator, so `--graph` can measure
-/// *allocations per forward* directly instead of inferring them. The two
-/// relaxed atomic bumps are noise next to a malloc.
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the counters never affect
-// allocation behaviour.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        std::alloc::System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        std::alloc::System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        std::alloc::System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[derive(Serialize)]
 struct ServeRun {
@@ -1293,344 +1252,8 @@ fn quant_run(args: &Args) {
     em_obs::finish_to("servebench-quant", std::path::Path::new(RESULTS_DIR));
 }
 
-/// Planner statistics for one geometry, as reported by `--graph`.
-#[derive(Serialize)]
-struct GraphPlanStats {
-    /// Ops one layer traces to before fusion.
-    traced_ops_per_layer: usize,
-    /// Ops left in the canonical schedule after fusion.
-    planned_ops_per_layer: usize,
-    /// Op dispatches fusion removes from one full forward.
-    fused_ops_per_forward: usize,
-    /// Layers deduplicated into the single replayed schedule.
-    deduped_layers: usize,
-    /// The one liveness-shared intermediate arena the executor allocates.
-    arena_bytes: usize,
-    /// The same intermediates with one private buffer each (the eager
-    /// `Scratch` layout).
-    scratch_bytes: usize,
-    /// `arena_bytes / scratch_bytes` — the liveness-sharing win.
-    arena_over_scratch: f64,
-    /// Wall time of one trace+fuse+dedupe+layout pass.
-    plan_build_ms: f64,
-}
-
-/// Eager-vs-lazy micro comparison for one weight representation.
-#[derive(Serialize)]
-struct GraphMicroRow {
-    mode: String,
-    eager_us_per_pair: f64,
-    lazy_us_per_pair: f64,
-    /// `eager_us_per_pair / lazy_us_per_pair`.
-    lazy_speedup: f64,
-    /// Heap allocations per steady-state lazy forward — the headline
-    /// zero-allocation claim, measured by the counting allocator.
-    lazy_allocs_per_forward: f64,
-    lazy_alloc_bytes_per_forward: f64,
-    /// Same counter on the eager interpreter path.
-    eager_allocs_per_forward: f64,
-    /// Worst-case |lazy − eager| over the batch logits (expected 0.0:
-    /// the fused kernels run identical per-element arithmetic).
-    max_logit_delta: f64,
-}
-
-/// The length-bucketed serving phase of `--graph`.
-#[derive(Serialize)]
-struct GraphServingPhase {
-    requests: u64,
-    batches: u64,
-    plan_cache_hits: u64,
-    plan_cache_misses: u64,
-    /// Hit rate over the measured steady-state pass (every geometry
-    /// already planned) — must be exactly 1.0.
-    plan_cache_hit_rate_steady: f64,
-    /// Hit rate over the whole phase, cold planning included.
-    plan_cache_hit_rate_total: f64,
-    graph_examples_per_sec: f64,
-    eager_examples_per_sec: f64,
-    /// Worst-case served-score difference between the two backends.
-    max_score_delta_vs_eager: f64,
-}
-
-/// Everything `--graph` writes to `results/graph_bench.json`.
-#[derive(Serialize)]
-struct GraphBenchReport {
-    smoke: bool,
-    arch: String,
-    layers: usize,
-    hidden: usize,
-    batch: usize,
-    seq: usize,
-    iters: usize,
-    micro: Vec<GraphMicroRow>,
-    plan: GraphPlanStats,
-    serving: GraphServingPhase,
-}
-
-/// A synthetic encoding of exactly `len` real tokens (no padding).
-fn synth_encoding(rng: &mut StdRng, len: usize, vocab: usize) -> em_tokenizers::Encoding {
-    let split = rng.gen_range(1..len);
-    em_tokenizers::Encoding {
-        ids: (0..len).map(|_| rng.gen_range(1..vocab as u32)).collect(),
-        segments: (0..len).map(|i| u8::from(i >= split)).collect(),
-        mask: vec![1u8; len],
-        cls_index: 0,
-        pad_id: 0,
-    }
-}
-
-/// Graph mode: the lazy traced/planned/replayed executor against the
-/// eager interpreter. A pinned-thread micro phase measures per-pair
-/// forward latency, steady-state allocations (counting allocator) and
-/// logit equivalence per weight representation, plus the planner's
-/// arena-vs-scratch and fusion numbers; a serving phase streams
-/// length-bucketed requests through `ServeMatcher` on both backends and
-/// reads the plan-cache hit rate back from `ServeStats`.
-fn graph_run(args: &Args) {
-    let smoke = args.has("smoke");
-    let seed: u64 = args.get("seed").unwrap_or(42);
-    let batch: usize = args.get("batch").unwrap_or(8);
-    let seq: usize = args.get("seq").unwrap_or(if smoke { 16 } else { 48 });
-    let iters: usize = args
-        .get("iters")
-        .unwrap_or(if smoke { 30 } else { 200 })
-        .max(1);
-    let max_len: usize = args.get("max-len").unwrap_or(seq.max(32));
-    let n_stream: usize = args.get("pairs").unwrap_or(if smoke { 64 } else { 256 });
-
-    let arch = Architecture::Bert;
-    let corpus = em_data::generate_corpus(if smoke { 30 } else { 200 }, seed);
-    let tokenizer = train_tokenizer(arch, &corpus, if smoke { 200 } else { 400 });
-    let vocab = tokenizer.vocab_size();
-    let mut cfg = if smoke {
-        TransformerConfig::tiny(arch, vocab)
-    } else {
-        // Serving-scale geometry (see the --quant rationale): hidden 256
-        // puts the GEMMs where fusion and arena locality can matter.
-        let mut c = TransformerConfig::small(arch, vocab);
-        c.hidden = 256;
-        c.inner = 1024;
-        c.heads = 4;
-        c
-    };
-    cfg.max_position = cfg.max_position.max(max_len);
-    let layers = cfg.layers;
-    let hidden = cfg.hidden;
-    let model = TransformerModel::new(cfg, seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let head = ClassificationHead::new(hidden, 0.1, 0.02, &mut rng);
-    let frozen = freeze_parts(&model, &head, tokenizer, max_len);
-    eprintln!(
-        "servebench --graph: {} layers x hidden {hidden}, batch {batch} x seq {seq}, \
-         {iters} iters/backend",
-        layers
-    );
-
-    // ---- planner statistics --------------------------------------------
-    let t0 = Instant::now();
-    let builds = 5;
-    let plan = (0..builds)
-        .map(|_| Executor::plan_for(&frozen.model, batch, seq))
-        .last()
-        .expect("at least one plan build");
-    let plan_build_ms = t0.elapsed().as_secs_f64() * 1e3 / builds as f64;
-    let plan_stats = GraphPlanStats {
-        traced_ops_per_layer: plan.traced_ops,
-        planned_ops_per_layer: plan.traced_ops - plan.fused_ops / plan.deduped_layers.max(1),
-        fused_ops_per_forward: plan.fused_ops,
-        deduped_layers: plan.deduped_layers,
-        arena_bytes: plan.arena_len * 4,
-        scratch_bytes: plan.scratch_len * 4,
-        arena_over_scratch: plan.arena_len as f64 / plan.scratch_len.max(1) as f64,
-        plan_build_ms,
-    };
-    eprintln!(
-        "plan: {} ops/layer -> {} ({} dispatches fused over {} layers), \
-         arena {} KiB vs scratch {} KiB ({:.0}%), build {plan_build_ms:.3}ms",
-        plan_stats.traced_ops_per_layer,
-        plan_stats.planned_ops_per_layer,
-        plan_stats.fused_ops_per_forward,
-        plan_stats.deduped_layers,
-        plan_stats.arena_bytes / 1024,
-        plan_stats.scratch_bytes / 1024,
-        plan_stats.arena_over_scratch * 100.0
-    );
-
-    // ---- micro phase: pinned thread, fixed geometry --------------------
-    //
-    // Kernel parallelism is serialized (as a serve worker would) so the
-    // numbers compare schedules, not thread pools.
-    em_kernels::pool::serialize_current_thread();
-    let mut mrng = StdRng::seed_from_u64(seed ^ 0x6a_f0);
-    let encodings: Vec<em_tokenizers::Encoding> = (0..batch)
-        .map(|_| synth_encoding(&mut mrng, seq, vocab))
-        .collect();
-    let micro_batch = Batch::from_encodings(&encodings);
-    let mut micro = Vec::new();
-    for mode in [QuantMode::F32, QuantMode::F16, QuantMode::Int8] {
-        let q = frozen.quantize(mode);
-        let measure = |backend: ExecBackend| {
-            let mut exec = Executor::new(backend);
-            exec.set_batch_capacity(batch);
-            // Warm: plans built, workspace and kernel scratch grown.
-            exec.forward_hidden(&q.model, &micro_batch);
-            exec.forward_hidden(&q.model, &micro_batch);
-            let a0 = ALLOC_COUNT.load(Ordering::Relaxed);
-            let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
-            let t = Instant::now();
-            for _ in 0..iters {
-                exec.forward_hidden(&q.model, &micro_batch);
-            }
-            let secs = t.elapsed().as_secs_f64();
-            let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - a0;
-            let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - b0;
-            let us_per_pair = secs * 1e6 / (iters * batch) as f64;
-            let logits: Vec<f32> = exec.logits(&q, &micro_batch).to_vec();
-            (us_per_pair, allocs, bytes, logits)
-        };
-        let (eager_us, eager_allocs, _, eager_logits) = measure(ExecBackend::Eager);
-        let (lazy_us, lazy_allocs, lazy_bytes, lazy_logits) = measure(ExecBackend::Graph);
-        let max_logit_delta = eager_logits
-            .iter()
-            .zip(&lazy_logits)
-            .map(|(a, b)| (a - b).abs() as f64)
-            .fold(0.0, f64::max);
-        eprintln!(
-            "  micro {mode}: eager {eager_us:.1}us/pair vs lazy {lazy_us:.1}us/pair \
-             ({:.2}x), lazy allocs/forward {:.2} ({} B), logit delta {max_logit_delta:.1e}",
-            eager_us / lazy_us,
-            lazy_allocs as f64 / iters as f64,
-            lazy_bytes / iters as u64
-        );
-        micro.push(GraphMicroRow {
-            mode: mode.name().to_string(),
-            eager_us_per_pair: eager_us,
-            lazy_us_per_pair: lazy_us,
-            lazy_speedup: eager_us / lazy_us,
-            lazy_allocs_per_forward: lazy_allocs as f64 / iters as f64,
-            lazy_alloc_bytes_per_forward: lazy_bytes as f64 / iters as f64,
-            eager_allocs_per_forward: eager_allocs as f64 / iters as f64,
-            max_logit_delta,
-        });
-    }
-
-    // ---- serving phase: bucketed stream through both backends ----------
-    let serve_cfg = |backend| {
-        ServeConfig::builder()
-            .workers(1) // deterministic plan-cache accounting
-            .max_batch(8)
-            .max_wait_ms(2)
-            .cache_capacity(0)
-            .backend(backend)
-            .build()
-            .expect("valid graph serve config")
-    };
-    let mut srng = StdRng::seed_from_u64(seed ^ 0x5e_12);
-    let mixed: Vec<em_tokenizers::Encoding> = (0..n_stream)
-        .map(|_| {
-            let len = srng.gen_range(3..=max_len);
-            synth_encoding(&mut srng, len, vocab)
-        })
-        .collect();
-    let graph_serve = ServeMatcher::start(frozen.clone(), serve_cfg(ExecBackend::Graph));
-    let eager_serve = ServeMatcher::start(frozen.clone(), serve_cfg(ExecBackend::Eager));
-    // Cold pass plans per (bucket capacity, batch length) geometry; the
-    // timed pass reuses whatever it planned.
-    graph_serve
-        .score_encodings(&mixed)
-        .expect("graph serving failed");
-    let t = Instant::now();
-    let g_scores = graph_serve
-        .score_encodings(&mixed)
-        .expect("graph serving failed");
-    let graph_eps = mixed.len() as f64 / t.elapsed().as_secs_f64();
-    eager_serve
-        .score_encodings(&mixed)
-        .expect("eager serving failed");
-    let t = Instant::now();
-    let e_scores = eager_serve
-        .score_encodings(&mixed)
-        .expect("eager serving failed");
-    let eager_eps = mixed.len() as f64 / t.elapsed().as_secs_f64();
-    let max_score_delta = g_scores
-        .iter()
-        .zip(&e_scores)
-        .map(|(a, b)| (a - b).abs() as f64)
-        .fold(0.0, f64::max);
-
-    // Steady state, measured exactly: a uniform-length stream (one plan
-    // key) is warmed once, then the delta over a second pass must be
-    // all hits.
-    let uniform: Vec<em_tokenizers::Encoding> = (0..32)
-        .map(|_| synth_encoding(&mut srng, max_len, vocab))
-        .collect();
-    graph_serve
-        .score_encodings(&uniform)
-        .expect("graph serving failed");
-    let warm = graph_serve.stats();
-    graph_serve
-        .score_encodings(&uniform)
-        .expect("graph serving failed");
-    let fin = graph_serve.stats();
-    let steady_probes = (fin.plan_cache_hits + fin.plan_cache_misses)
-        - (warm.plan_cache_hits + warm.plan_cache_misses);
-    let steady_rate = if steady_probes == 0 {
-        0.0
-    } else {
-        (fin.plan_cache_hits - warm.plan_cache_hits) as f64 / steady_probes as f64
-    };
-    let eager_stats = eager_serve.stats();
-    assert_eq!(
-        (eager_stats.plan_cache_hits, eager_stats.plan_cache_misses),
-        (0, 0),
-        "the eager backend must never touch the planner"
-    );
-    eprintln!(
-        "serving: graph {graph_eps:.1}/s vs eager {eager_eps:.1}/s, score delta \
-         {max_score_delta:.1e}; plan cache {} hits / {} misses, steady-state rate {steady_rate}",
-        fin.plan_cache_hits, fin.plan_cache_misses
-    );
-
-    let report = GraphBenchReport {
-        smoke,
-        arch: arch.name().to_string(),
-        layers,
-        hidden,
-        batch,
-        seq,
-        iters,
-        micro,
-        plan: plan_stats,
-        serving: GraphServingPhase {
-            requests: fin.requests,
-            batches: fin.batches,
-            plan_cache_hits: fin.plan_cache_hits,
-            plan_cache_misses: fin.plan_cache_misses,
-            plan_cache_hit_rate_steady: steady_rate,
-            plan_cache_hit_rate_total: fin.plan_cache_hit_rate(),
-            graph_examples_per_sec: graph_eps,
-            eager_examples_per_sec: eager_eps,
-            max_score_delta_vs_eager: max_score_delta,
-        },
-    };
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("graph_bench.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("serialize graph report"),
-    )
-    .expect("write graph_bench.json");
-    eprintln!("[saved] {}", path.display());
-    em_obs::finish_to("servebench-graph", std::path::Path::new(RESULTS_DIR));
-}
-
 fn main() {
     let args = Args::parse();
-    if args.has("graph") {
-        graph_run(&args);
-        return;
-    }
     if args.has("quant") {
         quant_run(&args);
         return;

@@ -32,10 +32,6 @@ pub struct FineTuneConfig {
     pub max_len_cap: usize,
     /// Mini-batch size used for evaluation and scoring.
     pub eval_batch: usize,
-    /// Pad every batch to `max_len` instead of the batch maximum. This
-    /// replays the pre-dynamic-padding training path bit-exactly; it exists
-    /// for benchmarking the dynamic-padding speedup, not for regular use.
-    pub pad_to_max: bool,
 }
 
 impl Default for FineTuneConfig {
@@ -47,7 +43,6 @@ impl Default for FineTuneConfig {
             seed: 42,
             max_len_cap: 96,
             eval_batch: 32,
-            pad_to_max: false,
         }
     }
 }
@@ -241,37 +236,24 @@ pub fn fine_tune(
         // Bucketing is stable over the shuffled order and the batch order
         // is reshuffled, so example composition stays seeded-random; only
         // which examples share a batch changes.
-        let batches: Vec<Vec<usize>> = if cfg.pad_to_max {
-            // Benchmark baseline: the exact pre-bucketing batch layout.
-            order
-                .chunks(cfg.batch_size)
-                .map(<[usize]>::to_vec)
-                .collect()
-        } else {
-            let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for &i in &order {
-                buckets
-                    .entry(Batch::bucket_len(&train_enc[i]))
-                    .or_default()
-                    .push(i);
-            }
-            let mut batches: Vec<Vec<usize>> = buckets
-                .values()
-                .flat_map(|idx| idx.chunks(cfg.batch_size))
-                .map(<[usize]>::to_vec)
-                .collect();
-            batches.shuffle(&mut rng);
-            batches
-        };
+        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for &i in &order {
+            buckets
+                .entry(Batch::bucket_len(&train_enc[i]))
+                .or_default()
+                .push(i);
+        }
+        let mut batches: Vec<Vec<usize>> = buckets
+            .values()
+            .flat_map(|idx| idx.chunks(cfg.batch_size))
+            .map(<[usize]>::to_vec)
+            .collect();
+        batches.shuffle(&mut rng);
         for (bi, chunk) in batches.iter().enumerate() {
             let labels: Vec<usize> = chunk.iter().map(|&i| train_labels[i]).collect();
             // Index-based gather: no per-step Encoding clones.
-            let batch = if cfg.pad_to_max {
-                Batch::gather_padded(&train_enc, chunk, max_len)
-            } else {
-                Batch::gather(&train_enc, chunk)
-            };
+            let batch = Batch::gather(&train_enc, chunk);
             real_tokens += batch.real_tokens() as u64;
             padded_tokens += batch.padded_tokens() as u64;
             let mut ctx = Ctx::train(cfg.seed ^ ((epoch as u64) << 24) ^ bi as u64);
@@ -294,7 +276,7 @@ pub fn fine_tune(
         let train_seconds = timer.stop();
         // Timer::stop already fed the finetune/epoch span aggregate; the
         // explicit histogram keeps per-epoch quantiles (p50/p99 epoch
-        // time) even though epochs are few — trainbench reads it back.
+        // time) even though epochs are few.
         em_obs::histogram_record("finetune/epoch_seconds", train_seconds);
         em_obs::gauge_set(
             "finetune/examples_per_sec",

@@ -24,7 +24,8 @@ pub(crate) struct Layout {
     /// actually allocates, once, for the whole forward.
     pub(crate) arena_len: usize,
     /// What the same schedule would need with one private buffer per
-    /// intermediate (the eager `Scratch` equivalent), for reporting.
+    /// intermediate — the sum of per-op buffers without liveness
+    /// sharing — for reporting.
     pub(crate) scratch_len: usize,
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The executor walks the canonical layer schedule `key.layers` times,
 //! resolving virtual buffers to disjoint views of the caller's arena
-//! and binding weight slots through [`GraphModel`]. All loops mirror
-//! the eager interpreter exactly (same kernels, same element order), so
-//! fused replay is bitwise-equal to the eager path.
+//! and binding weight slots through [`GraphModel`] — the only code in
+//! the workspace that walks the encoder layers of a frozen model. Fused
+//! ops run the same kernels in the same element order as the op chains
+//! they replace, so fused replay is bitwise-equal to unfused replay.
 //!
 //! Plans are sized for `key.batch_cap` but replay any actual batch
 //! `b ≤ batch_cap`: every batched buffer is row-major with the batch

@@ -87,7 +87,7 @@ pub(crate) enum Src {
 }
 
 /// One traced (or fused) op of the encoder layer. The unfused set
-/// mirrors the eager interpreter one pass per op; the planner rewrites
+/// is one pass over memory per op; the planner rewrites
 /// chains of them into the `Fused*` / epilogue forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {

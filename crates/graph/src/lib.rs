@@ -1,10 +1,12 @@
-//! em-graph: a lazy op-graph executor for the frozen inference forward.
+//! em-graph: the frozen inference forward, as a traced, planned and
+//! replayed op graph.
 //!
-//! The eager frozen path interprets the encoder op-by-op, re-deciding
-//! every fusion opportunity and re-allocating every intermediate on each
-//! call. This crate splits that work into a cold half and a hot half:
+//! Deciding what to fuse and where every intermediate lives is work that
+//! depends only on a batch's geometry, so this crate does it once per
+//! geometry (the cold half) and keeps the per-batch path (the hot half)
+//! to replaying a fixed schedule:
 //!
-//! 1. **Trace** — symbolically replay the frozen forward once per
+//! 1. **Trace** — symbolically unroll the encoder forward once per
 //!    (architecture, batch-geometry bucket) into a small op graph over
 //!    virtual buffers (the private `trace` module).
 //! 2. **Plan** — peephole-fuse elementwise chains into single-pass
@@ -21,9 +23,8 @@
 //! worker holds a [`GraphExecutor`] whose plan cache is keyed by length
 //! bucket and whose arena is reused across batches, so steady-state
 //! serving does zero planning and zero allocation. Every fused kernel
-//! preserves the eager path's per-element arithmetic and order, so
-//! replay is bitwise-equal to eager — the backend switch can never
-//! change scores.
+//! preserves the per-element arithmetic and order of the ops it
+//! replaces, so a fused plan replays bitwise-equal to the unfused one.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -21,7 +21,8 @@ pub struct Plan {
     /// ever makes for intermediates, shared by all layers.
     pub arena_len: usize,
     /// What the same intermediates cost with one private buffer each
-    /// (the eager `Scratch` layout), in f32 elements.
+    /// (the sum of per-op buffers without liveness sharing), in f32
+    /// elements.
     pub scratch_len: usize,
     /// Ops in one layer before fusion.
     pub traced_ops: usize,
@@ -39,7 +40,7 @@ impl Plan {
     }
 
     /// Internal variant that can skip the fusion pass; the unfused plan
-    /// replays the eager interpreter one pass per op and anchors the
+    /// replays the trace one pass per op and anchors the
     /// fused-vs-unfused equivalence tests.
     pub(crate) fn build_with(key: PlanKey, fuse_pass: bool) -> Plan {
         let traced = trace(&key);
@@ -235,7 +236,7 @@ mod tests {
                 | Op::Residual { .. }
                 | Op::Norm { .. }
         )));
-        // Slot order of the surviving linears matches the eager pass.
+        // Slot order of the surviving linears matches the trace.
         let slots: Vec<LinSlot> = plan
             .ops
             .iter()

@@ -1,9 +1,10 @@
 //! Tracing: unroll the frozen encoder forward into per-layer op lists.
 //!
-//! The tracer is a symbolic replay of `FrozenLayer::forward_flat` — it
-//! records the exact op order of the eager interpreter (QKV projection,
-//! head split, scores, scale/bias/mask/softmax, context, output
-//! projection, residual + norm, feed-forward, residual + norm) against
+//! The tracer defines the frozen encoder layer — the eval-mode mirror of
+//! autograd's `EncoderLayer::forward`: it records the op order (QKV
+//! projection, head split, scores, scale/bias/mask/softmax, context,
+//! output projection, residual + norm, feed-forward, residual + norm)
+//! against
 //! virtual buffers sized for the plan's batch envelope. Each layer gets
 //! fresh virtual buffers and slot-relative weight references, so layers
 //! trace structurally identical and the planner can dedupe them.

@@ -10,12 +10,6 @@
 //! All operands are dense row-major `f32` slices. Inputs small enough
 //! that threading costs more than it saves run serially; larger ones are
 //! partitioned into row blocks on the persistent [`crate::pool`].
-//!
-//! A process-wide [`Backend`] switch selects between the SIMD path
-//! (`Auto`, the default) and a faithful reproduction of the pre-kernels
-//! scalar training path (`Scalar`) — the `ikj` loop with its zero-skip
-//! branch and spawn-per-call threading — kept solely so `trainbench` can
-//! measure the speedup against the exact code it replaced.
 
 // The internal tile/block helpers take flat BLAS-style argument lists
 // (slices plus strides plus dimensions) on purpose — bundling them into
@@ -23,10 +17,9 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::pool;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Below this many multiply-adds the threading overhead is not worth
-/// paying (the pre-kernels threshold, kept for continuity).
+/// paying.
 const PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Elementwise epilogue fused onto a GEMM's output: applied to each row
@@ -50,34 +43,6 @@ impl Act {
         if self == Act::Gelu {
             crate::math::gelu(block);
         }
-    }
-}
-
-/// Which GEMM implementation the process uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Runtime-dispatched SIMD kernels (AVX2+FMA where available, a
-    /// register-blocked portable loop otherwise) on the persistent pool.
-    Auto,
-    /// The pre-kernels scalar `ikj` path, zero-skip branch and
-    /// spawn-per-call threading included. Benchmark baseline only.
-    Scalar,
-}
-
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Select the process-wide GEMM backend (used by `trainbench` to time
-/// the scalar baseline against the SIMD path in one process).
-pub fn set_backend(b: Backend) {
-    BACKEND.store(b as u8, Ordering::Relaxed);
-}
-
-/// The currently selected GEMM backend.
-pub fn backend() -> Backend {
-    if BACKEND.load(Ordering::Relaxed) == Backend::Scalar as u8 {
-        Backend::Scalar
-    } else {
-        Backend::Auto
     }
 }
 
@@ -139,11 +104,6 @@ pub fn gemm_nn_act(
     if let Some(bias) = bias {
         debug_assert_eq!(bias.len(), n);
     }
-    if backend() == Backend::Scalar {
-        scalar::gemm_nn(a, b, bias, c, m, k, n);
-        act.apply(c);
-        return;
-    }
     if should_parallelize(m, k, n) {
         pool::parallel_rows(c, m, n, |i0, block| {
             serial_nn_tn(a, k, 1, b, bias, block, i0, block.len() / n, k, n);
@@ -172,10 +132,6 @@ pub fn gemm_nt(
     debug_assert_eq!(c.len(), m * n);
     if let Some(bias) = bias {
         debug_assert_eq!(bias.len(), n);
-    }
-    if backend() == Backend::Scalar {
-        scalar::gemm_nt(a, bt, bias, c, m, k, n);
-        return;
     }
     // The dot-product NT tile pays a horizontal sum per output element,
     // which caps it around a third of the NN tile's throughput. Once A has
@@ -237,10 +193,6 @@ pub fn gemm_tn(
     debug_assert_eq!(c.len(), m * n);
     if let Some(bias) = bias {
         debug_assert_eq!(bias.len(), n);
-    }
-    if backend() == Backend::Scalar {
-        scalar::gemm_tn(at, b, bias, c, m, k, n);
-        return;
     }
     if should_parallelize(m, k, n) {
         pool::parallel_rows(c, m, n, |i0, block| {
@@ -539,114 +491,6 @@ mod avx2 {
     }
 }
 
-/// The pre-kernels scalar path, reproduced exactly (zero-skip branch,
-/// `ikj` order, spawn-per-call threading). This is both the benchmark
-/// baseline and the explicit sparse-aware entry point: the zero-skip is
-/// a win only on inputs with many exact zeros, which no dense training
-/// or serving path has — hence it lives here and nowhere else.
-mod scalar {
-    /// Single-threaded `C += A(m×k) · B(k×n)` with the zero-skip branch.
-    fn accumulate_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_ip * b_v;
-                }
-            }
-        }
-    }
-
-    fn init_c(c: &mut [f32], bias: Option<&[f32]>, rows: usize, n: usize) {
-        match bias {
-            Some(bias) => {
-                for r in 0..rows {
-                    c[r * n..(r + 1) * n].copy_from_slice(bias);
-                }
-            }
-            None => c.fill(0.0),
-        }
-    }
-
-    pub(super) fn gemm_nn(
-        a: &[f32],
-        b: &[f32],
-        bias: Option<&[f32]>,
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        init_c(c, bias, m, n);
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if m * k * n < super::PARALLEL_FLOP_THRESHOLD || threads <= 1 || m < 2 {
-            accumulate_serial(a, b, c, m, k, n);
-            return;
-        }
-        let threads = threads.min(m);
-        let rows_per = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = c;
-            let mut row = 0usize;
-            while row < m {
-                let take = rows_per.min(m - row);
-                let (chunk, tail) = rest.split_at_mut(take * n);
-                rest = tail;
-                let a_chunk = &a[row * k..(row + take) * k];
-                scope.spawn(move || accumulate_serial(a_chunk, b, chunk, take, k, n));
-                row += take;
-            }
-        });
-    }
-
-    pub(super) fn gemm_nt(
-        a: &[f32],
-        bt: &[f32],
-        bias: Option<&[f32]>,
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = bias.map_or(0.0, |bb| bb[j]);
-                for p in 0..k {
-                    s += a[i * k + p] * bt[j * k + p];
-                }
-                c[i * n + j] = s;
-            }
-        }
-    }
-
-    pub(super) fn gemm_tn(
-        at: &[f32],
-        b: &[f32],
-        bias: Option<&[f32]>,
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        init_c(c, bias, m, n);
-        for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            for i in 0..m {
-                let a_v = at[p * m + i];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += a_v * bv;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,22 +605,6 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-6, "{g} vs {w} at {m}x{k}x{n}");
             }
-        }
-    }
-
-    #[test]
-    fn scalar_backend_matches_auto() {
-        let (m, k, n) = (9, 14, 11);
-        let a = pseudo(m * k, 8);
-        let b = pseudo(k * n, 9);
-        let mut auto = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, None, &mut auto, m, k, n);
-        set_backend(Backend::Scalar);
-        let mut scalar = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, None, &mut scalar, m, k, n);
-        set_backend(Backend::Auto);
-        for (g, w) in auto.iter().zip(&scalar) {
-            assert!((g - w).abs() <= 1e-4);
         }
     }
 }

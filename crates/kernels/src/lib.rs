@@ -10,10 +10,8 @@
 //! spawn-per-call threading in training matmul and the oversubscription
 //! between serve workers and intra-op threads.
 //!
-//! `em-tensor` builds its autograd ops on these kernels, `em-serve`
-//! consumes them directly for the frozen forward pass, and `trainbench`
-//! flips [`Backend::Scalar`] to time the pre-kernels training path
-//! against [`Backend::Auto`] in a single process.
+//! `em-tensor` builds its autograd ops on these kernels and `em-serve`
+//! consumes them directly for the frozen forward pass.
 
 #![deny(missing_docs)]
 
@@ -22,9 +20,7 @@ pub mod math;
 pub mod pool;
 pub mod qgemm;
 
-pub use gemm::{
-    backend, gemm_nn, gemm_nn_act, gemm_nt, gemm_tn, set_backend, simd_kind, Act, Backend,
-};
+pub use gemm::{gemm_nn, gemm_nn_act, gemm_nt, gemm_tn, simd_kind, Act};
 pub use math::{
     attn_softmax_rows, exp_approx, gelu, gelu_backward, layer_norm_backward, layer_norm_forward,
     layer_norm_rows, log_softmax_rows, residual_layer_norm_rows, softmax_backward_rows,

@@ -106,11 +106,11 @@ pub fn softmax_rows(x: &mut [f32], d: usize) {
 /// Fused attention-score epilogue: scale by `1/√dh`, add the optional
 /// relative-position bias and the optional additive key mask, then
 /// softmax — one traversal of the `[b, h, t, t]` score tensor where the
-/// eager path makes up to three (scores are the largest activation in
+/// unfused ops make up to three (scores are the largest activation in
 /// the forward, so the saved passes are the fusion win). `rel` is the
 /// XLNet bias laid out `[h, t, t]`; `mask` is one additive entry per
 /// `(sample, key position)` (`[b, t]`). The per-element arithmetic and
-/// evaluation order match the eager path exactly, so fused and unfused
+/// evaluation order match the unfused ops exactly, so fused and unfused
 /// scores agree bitwise.
 pub fn attn_softmax_rows(
     scores: &mut [f32],

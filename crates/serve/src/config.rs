@@ -5,47 +5,6 @@ use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-/// Which executor scores batches on the worker threads.
-///
-/// Both backends compute bit-identical scores (the graph planner only
-/// fuses passes whose per-element arithmetic matches the eager
-/// interpreter), so this switch trades nothing but speed and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Interpret the frozen forward op by op — the pre-planner baseline.
-    Eager,
-    /// Trace + plan once per batch geometry, then replay the planned
-    /// schedule: fused kernels, one arena allocation, per-worker plan
-    /// cache keyed by length bucket (the default).
-    #[default]
-    Graph,
-}
-
-impl ExecBackend {
-    /// Stable lowercase name (used in flags and metrics).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Eager => "eager",
-            ExecBackend::Graph => "graph",
-        }
-    }
-
-    /// Parse an [`ExecBackend::name`] back.
-    pub fn parse(s: &str) -> Option<ExecBackend> {
-        match s {
-            "eager" => Some(ExecBackend::Eager),
-            "graph" => Some(ExecBackend::Graph),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Tuning knobs for the concurrent micro-batching matcher.
 ///
 /// `Default` gives a sensible local setup (2 workers, batches of up to
@@ -109,10 +68,6 @@ pub struct ServeConfig {
     /// disables capture; capture is also inert unless `EM_OBS` enables
     /// observability.
     pub slow_request_threshold: Option<Duration>,
-    /// Which executor the scoring workers run — the lazy graph executor
-    /// (default) or the eager op-by-op interpreter. Scores are identical
-    /// either way; see [`ExecBackend`].
-    pub backend: ExecBackend,
 }
 
 impl Default for ServeConfig {
@@ -132,7 +87,6 @@ impl Default for ServeConfig {
             max_worker_restarts: 1024,
             fault: None,
             slow_request_threshold: None,
-            backend: ExecBackend::default(),
         }
     }
 }
@@ -373,13 +327,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Select the scoring executor ([`ExecBackend::Graph`] is the
-    /// default; [`ExecBackend::Eager`] keeps the op-by-op interpreter).
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ServeConfig, String> {
         let c = &self.cfg;
@@ -598,21 +545,6 @@ mod tests {
         let d = ServeConfig::default();
         let built = ServeConfig::builder().build().unwrap();
         assert_eq!(d, built);
-        assert_eq!(d.backend, ExecBackend::Graph, "graph executor by default");
-    }
-
-    #[test]
-    fn exec_backend_names_round_trip() {
-        for b in [ExecBackend::Eager, ExecBackend::Graph] {
-            assert_eq!(ExecBackend::parse(b.name()), Some(b));
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!(ExecBackend::parse("jit"), None);
-        let cfg = ServeConfig::builder()
-            .backend(ExecBackend::Eager)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backend, ExecBackend::Eager);
     }
 
     #[test]

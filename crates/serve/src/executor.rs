@@ -1,16 +1,14 @@
-//! The per-worker scoring executor: backend switch, reusable workspace,
-//! and the [`em_graph::GraphModel`] binding for frozen weights.
+//! The frozen forward: a reusable scoring workspace and the
+//! [`em_graph::GraphModel`] binding for frozen weights.
 //!
-//! A serving worker owns one [`Executor`]. Under
-//! [`ExecBackend::Graph`] it scores through `em-graph`: the frozen
-//! forward is traced and planned once per (architecture, length-bucket)
+//! Every score this crate produces comes out of an [`Executor`] — a
+//! serving worker owns one, and [`FrozenMatcher::score_encodings`] keeps
+//! one per calling thread. It scores through `em-graph`: the encoder
+//! stack is traced and planned once per (architecture, length-bucket)
 //! geometry, then every later batch replays the cached schedule — fused
 //! kernels, one shared arena, zero allocation at steady state. The
 //! head-side buffers (hidden states, mask, CLS gather, pooled, logits)
-//! live here and are reused the same way. Under [`ExecBackend::Eager`]
-//! the executor defers to the interpreter path, which is kept byte-for-
-//! byte as the baseline. Both backends run identical per-element
-//! arithmetic, so scores are bit-equal either way.
+//! live here and are reused the same way.
 
 use std::sync::Arc;
 
@@ -19,7 +17,6 @@ use em_kernels::{layer_norm_rows, residual_layer_norm_rows, softmax_rows, Act};
 use em_tokenizers::Encoding;
 use em_transformers::Batch;
 
-use crate::config::ExecBackend;
 use crate::frozen::{FrozenMatcher, FrozenModel};
 
 impl GraphModel for FrozenModel {
@@ -41,7 +38,7 @@ impl GraphModel for FrozenModel {
         };
         // Dispatches on the stored representation, so the planned
         // Linear+GELU fusion reaches the f16 and int8 epilogues too.
-        lin.forward_flat_act(x, out, rows, act);
+        lin.forward_flat(x, out, rows, act);
     }
 
     fn norm(&self, layer: usize, slot: NormSlot, x: &mut [f32]) {
@@ -80,15 +77,26 @@ pub fn plan_key(model: &FrozenModel, batch_cap: usize, seq: usize) -> PlanKey {
     }
 }
 
-/// A worker-owned scoring engine: executor backend, plan cache and all
-/// forward-pass workspace, reused batch to batch.
+/// Argument token of [`Executor::new`]. The executor once had a second,
+/// interpreting backend; this one-variant enum is retained only because
+/// the repo benchmark (`benchmark/src/layers.rs`, which a PR may not
+/// edit alongside library code) spells `Executor::new(ExecBackend::Graph)`.
+/// It is to be removed by the next `benchmark`-archetype PR.
+#[derive(Debug, Clone, Copy)]
+pub enum ExecBackend {
+    /// Trace + plan once per batch geometry, then replay the planned
+    /// schedule.
+    Graph,
+}
+
+/// A thread-owned scoring engine: plan cache and all forward-pass
+/// workspace, reused batch to batch.
 ///
 /// Not `Sync` on purpose — one per thread keeps every buffer and the
 /// plan cache lock-free. The model is *not* held here: each call takes
 /// the (possibly hot-swapped) frozen matcher, and plans carry no
 /// weights, so a swap that preserves geometry keeps every cached plan.
 pub struct Executor {
-    backend: ExecBackend,
     graph: GraphExecutor,
     /// Bucket-capacity hint for plan keying; see [`Executor::set_batch_capacity`].
     batch_cap: usize,
@@ -100,10 +108,9 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// A fresh executor scoring through `backend`.
-    pub fn new(backend: ExecBackend) -> Self {
+    /// A fresh executor with an empty plan cache and workspace.
+    pub fn new(_: ExecBackend) -> Self {
         Executor {
-            backend,
             graph: GraphExecutor::new(),
             batch_cap: 0,
             x: Vec::new(),
@@ -112,11 +119,6 @@ impl Executor {
             pooled: Vec::new(),
             logits: Vec::new(),
         }
-    }
-
-    /// Which backend this executor scores through.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Hint the upcoming batches' capacity envelope (the serving bucket
@@ -137,7 +139,7 @@ impl Executor {
 
     /// Encode `batch` into flat `[b*t, hidden]` states held in the
     /// executor's workspace. At steady state (geometry seen before,
-    /// workspace grown) this performs no allocation on either backend.
+    /// workspace grown) this performs no allocation.
     pub fn forward_hidden(&mut self, model: &FrozenModel, batch: &Batch) -> &[f32] {
         let b = batch.len();
         let t = batch.seq_len();
@@ -146,77 +148,68 @@ impl Executor {
             .embeddings
             .forward_into(&batch.ids, &batch.segments, &mut self.x);
         let mask = fill_mask(batch, &mut self.mask).then_some(&self.mask[..b * t]);
-        let rel: Option<Arc<Vec<f32>>> = model.relative.as_ref().map(|r| r.bias_flat_cached(t));
+        let rel: Option<Arc<Vec<f32>>> = model.relative.as_ref().map(|r| r.bias_flat(t));
         let rel = rel.as_ref().map(|r| r.as_slice());
-        match self.backend {
-            ExecBackend::Eager => model.encode_flat(&mut self.x[..b * t * d], mask, rel, b, t),
-            ExecBackend::Graph => {
-                let key = plan_key(model, b.max(self.batch_cap), t);
-                self.graph
-                    .run(key, model, b, &mut self.x[..b * t * d], mask, rel);
-            }
-        }
+        let key = plan_key(model, b.max(self.batch_cap), t);
+        self.graph
+            .run(key, model, b, &mut self.x[..b * t * d], mask, rel);
         &self.x[..b * t * d]
     }
 
-    /// Match logits `[b, 2]` through the executor's workspace — the
-    /// no-allocation twin of [`FrozenMatcher::logits`].
+    /// Match logits `[b, 2]` for one batch, held in the executor's
+    /// workspace.
     pub fn logits(&mut self, matcher: &FrozenMatcher, batch: &Batch) -> &[f32] {
         let b = batch.len();
         let t = batch.seq_len();
         let d = matcher.model.config.hidden;
         self.forward_hidden(&matcher.model, batch);
-        // CLS gather → pooler (+tanh, as the eager pooled_states) → head.
+        // CLS gather → pooler (+tanh, as autograd's pooled_states) → head.
         self.cls.resize(b * d, 0.0);
         for (i, &c) in batch.cls_index.iter().enumerate() {
             let off = (i * t + c) * d;
             self.cls[i * d..(i + 1) * d].copy_from_slice(&self.x[off..off + d]);
         }
         self.pooled.resize(b * d, 0.0);
-        matcher
-            .model
-            .pooler
-            .forward_flat(&self.cls[..b * d], &mut self.pooled[..b * d], b);
+        matcher.model.pooler.forward_flat(
+            &self.cls[..b * d],
+            &mut self.pooled[..b * d],
+            b,
+            Act::None,
+        );
         for v in &mut self.pooled[..b * d] {
             *v = v.tanh();
         }
         self.logits.resize(b * 2, 0.0);
-        matcher
-            .head
-            .forward_flat(&self.pooled[..b * d], &mut self.logits[..b * 2], b);
+        matcher.head.forward_flat(
+            &self.pooled[..b * d],
+            &mut self.logits[..b * 2],
+            b,
+            Act::None,
+        );
         &self.logits[..b * 2]
     }
 
-    /// Positive-class probability per encoding — the executor-backed
-    /// twin of [`FrozenMatcher::score_encodings`], dispatching on the
-    /// backend. [`ExecBackend::Eager`] routes through the interpreter
-    /// path unchanged (it *is* the baseline); [`ExecBackend::Graph`]
-    /// replays the planned schedule and allocates only the returned
-    /// score vector.
+    /// Positive-class probability per encoding, as one batch padded
+    /// dynamically to the batch maximum; allocates only the returned
+    /// score vector. Encodings may be ragged; none may exceed the
+    /// matcher's `max_len`.
     pub fn score_encodings(&mut self, matcher: &FrozenMatcher, encodings: &[Encoding]) -> Vec<f32> {
         if encodings.is_empty() {
             return Vec::new();
         }
-        match self.backend {
-            ExecBackend::Eager => matcher.score_encodings(encodings),
-            ExecBackend::Graph => {
-                for e in encodings {
-                    assert!(
-                        e.ids.len() <= matcher.max_len,
-                        "encoding length {} exceeds the frozen matcher's max_len {}",
-                        e.ids.len(),
-                        matcher.max_len
-                    );
-                }
-                let batch = Batch::from_encodings(encodings);
-                let b = batch.len();
-                self.logits(matcher, &batch);
-                // Same softmax kernel the eager path reaches through
-                // `softmax_array`'s Auto backend.
-                softmax_rows(&mut self.logits[..b * 2], 2);
-                (0..b).map(|i| self.logits[i * 2 + 1]).collect()
-            }
+        for e in encodings {
+            assert!(
+                e.ids.len() <= matcher.max_len,
+                "encoding length {} exceeds the frozen matcher's max_len {}",
+                e.ids.len(),
+                matcher.max_len
+            );
         }
+        let batch = Batch::from_encodings(encodings);
+        let b = batch.len();
+        self.logits(matcher, &batch);
+        softmax_rows(&mut self.logits[..b * 2], 2);
+        (0..b).map(|i| self.logits[i * 2 + 1]).collect()
     }
 
     /// Build (or rebuild — planning is deterministic) the plan for one
@@ -229,8 +222,7 @@ impl Executor {
 
 /// Fill `out` with the additive key mask for `batch` (`0.0` real,
 /// `-1e9` padding) and report whether any padding exists. Mask-free
-/// batches return `false` and the executor skips the mask pass, exactly
-/// like the eager `None` mask.
+/// batches return `false` and the replay skips the mask pass.
 fn fill_mask(batch: &Batch, out: &mut Vec<f32>) -> bool {
     let b = batch.len();
     let t = batch.seq_len();

@@ -1,35 +1,38 @@
 //! Frozen model export: copy weights out of the `Rc`-based autograd graph
-//! into plain `Vec<f32>` buffers and run an inference-only forward pass.
+//! into plain `Send + Sync` buffers for the inference-only forward pass.
 //!
 //! The autograd [`TransformerModel`] cannot cross threads — its tensors are
 //! `Rc` handles onto a single-threaded tape. A [`FrozenModel`] holds the
 //! same weights as raw buffers (which are `Send + Sync`), so one model
-//! behind an `Arc` serves any number of worker threads. The forward pass
+//! behind an `Arc` serves any number of worker threads. This module owns
+//! the weights and their representations (f32 / f16 / int8); the forward
+//! pass over them is the `em-graph` replay driven by [`Executor`]. It
 //! computes the same function as the autograd eval path — same op order,
-//! same layer-norm/softmax/GELU formulas — but through the shared
+//! same layer-norm/softmax/GELU formulas — through the shared
 //! `em-kernels` crate: one register-blocked GEMM per projection with the
 //! bias in the epilogue, the Q/K/V projections merged into a single
 //! matrix product, K written pre-transposed, and polynomial `exp`/`tanh`
-//! in softmax and GELU. Frozen logits therefore reproduce autograd logits
-//! to within float-rounding — the equivalence tests assert 1e-5 across
-//! all four architectures — while running several times faster per
-//! example than the autograd batch-1 path.
+//! in softmax and GELU. Frozen logits therefore reproduce autograd
+//! logits to within float-rounding — the equivalence tests assert 1e-5
+//! across all four architectures — while running several times faster
+//! per example than the autograd batch-1 path.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use em_checkpoint::TensorBuf;
 use em_core::EmMatcher;
 use em_data::{Dataset, EntityPair};
 use em_kernels::{
-    dequantize_rows_i8, f16_dequantize, f16_quantize, gelu, gemm_nn, gemm_nn_act, gemm_nn_f16_act,
-    gemm_nt_i8_dyn_act, layer_norm_rows, quantize_weights_i8, softmax_rows, Act,
+    dequantize_rows_i8, f16_dequantize, f16_quantize, gemm_nn_act, gemm_nn_f16_act,
+    gemm_nt_i8_dyn_act, layer_norm_rows, quantize_weights_i8, Act,
 };
 use em_nn::Linear;
-use em_tensor::{softmax_array, Array};
+use em_tensor::Array;
 use em_tokenizers::{encode_pair, AnyTokenizer, ClsPosition, Encoding};
-use em_transformers::{
-    Architecture, Batch, ClassificationHead, TransformerConfig, TransformerModel,
-};
+use em_transformers::{Architecture, ClassificationHead, TransformerConfig, TransformerModel};
+
+use crate::executor::{ExecBackend, Executor};
 
 /// Numeric representation of a frozen model's linear weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,33 +216,12 @@ impl FrozenLinear {
         }
     }
 
-    /// Apply to `[.., in]` input, preserving the leading shape.
-    pub fn forward(&self, x: &Array) -> Array {
-        let (k, n) = (self.in_features(), self.out_features());
-        assert_eq!(
-            x.shape().last().copied(),
-            Some(k),
-            "input width must match in features"
-        );
-        let rows = x.len() / k;
-        let mut out = vec![0.0f32; rows * n];
-        self.forward_flat(x.data(), &mut out, rows);
-        let mut shape = x.shape().to_vec();
-        *shape.last_mut().unwrap() = n;
-        Array::from_vec(out, shape)
-    }
-
     /// Apply to `rows` flat row-major input rows through the kernel
-    /// matching the stored representation.
-    pub(crate) fn forward_flat(&self, x: &[f32], out: &mut [f32], rows: usize) {
-        self.forward_flat_act(x, out, rows, Act::None);
-    }
-
-    /// [`FrozenLinear::forward_flat`] with an elementwise epilogue fused
-    /// into the GEMM tile loop — every representation (f32, f16, int8)
-    /// applies `act` per register block, so the graph executor's fused
-    /// `Linear+GELU` stays quant-aware with no extra pass.
-    pub(crate) fn forward_flat_act(&self, x: &[f32], out: &mut [f32], rows: usize, act: Act) {
+    /// matching the stored representation, with the elementwise epilogue
+    /// `act` fused into the GEMM tile loop — every representation (f32,
+    /// f16, int8) applies it per register block, so the planned
+    /// `Linear+GELU` fusion stays quant-aware with no extra pass.
+    pub(crate) fn forward_flat(&self, x: &[f32], out: &mut [f32], rows: usize, act: Act) {
         let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
             Weights::F32(t) => gemm_nn_act(x, t.as_f32(), Some(&self.b), out, rows, k, n, act),
@@ -275,10 +257,6 @@ impl FrozenNorm {
             eps: n.eps,
         }
     }
-
-    fn forward_flat(&self, x: &mut [f32]) {
-        layer_norm_rows(x, &self.gamma, &self.beta, self.eps);
-    }
 }
 
 /// Inference-only input embedding block (token + position + segment + norm).
@@ -294,18 +272,11 @@ pub(crate) struct FrozenEmbeddings {
 
 impl FrozenEmbeddings {
     /// Mirror of `InputEmbeddings::forward` in eval mode (no dropout, no
-    /// blanking — blanking is a pre-training-only concern). Returns the
-    /// flat `[b*t, d]` hidden-state buffer the encoder stack works in.
-    fn forward_flat(&self, ids: &[Vec<usize>], segments: &[Vec<usize>]) -> Vec<f32> {
-        let mut x = Vec::new();
-        self.forward_into(ids, segments, &mut x);
-        x
-    }
-
-    /// [`FrozenEmbeddings::forward_flat`] into a caller-owned buffer,
-    /// resized (never shrunk below use, no zeroing needed — the token
-    /// gather overwrites every element) so a reused workspace makes the
-    /// embedding stage allocation-free at steady state.
+    /// blanking — blanking is a pre-training-only concern), written as
+    /// the flat `[b*t, d]` hidden-state buffer the encoder stack works
+    /// in. `x` is caller-owned and resized (no zeroing needed — the
+    /// token gather overwrites every element), so a reused workspace
+    /// makes the embedding stage allocation-free at steady state.
     pub(crate) fn forward_into(
         &self,
         ids: &[Vec<usize>],
@@ -355,71 +326,8 @@ impl FrozenEmbeddings {
                 }
             }
         }
-        self.norm.forward_flat(x);
+        layer_norm_rows(x, &self.norm.gamma, &self.norm.beta, self.norm.eps);
     }
-}
-
-/// Reusable per-forward working buffers, sized once and shared by every
-/// encoder layer of one batch forward.
-struct Scratch {
-    qkv: Vec<f32>,    // [b*t, 3d]
-    q: Vec<f32>,      // [b*h, t, dh]
-    kt: Vec<f32>,     // [b*h, dh, t] — K stored pre-transposed
-    v: Vec<f32>,      // [b*h, t, dh]
-    scores: Vec<f32>, // [b*h, t, t]
-    merged: Vec<f32>, // [b*t, d] — heads merged back
-    attn: Vec<f32>,   // [b*t, d]
-    ffn1: Vec<f32>,   // [b*t, inner]
-    ffn2: Vec<f32>,   // [b*t, d]
-}
-
-impl Scratch {
-    const fn empty() -> Self {
-        Self {
-            qkv: Vec::new(),
-            q: Vec::new(),
-            kt: Vec::new(),
-            v: Vec::new(),
-            scores: Vec::new(),
-            merged: Vec::new(),
-            attn: Vec::new(),
-            ffn1: Vec::new(),
-            ffn2: Vec::new(),
-        }
-    }
-
-    /// Grow every buffer to the given geometry (never shrinking, so a
-    /// worker's scratch converges on its largest batch and stops
-    /// allocating). No zeroing: every buffer is fully overwritten before
-    /// it is read — GEMMs initialize their output tile, the head split
-    /// writes every element, and per-layer reuse overwrites in the same
-    /// pattern — and the layer loops index exact `[..len]` prefixes.
-    fn ensure(&mut self, b: usize, t: usize, d: usize, heads: usize, inner: usize) {
-        let rows = b * t;
-        let grow = |v: &mut Vec<f32>, n: usize| {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
-        };
-        grow(&mut self.qkv, rows * 3 * d);
-        grow(&mut self.q, rows * d);
-        grow(&mut self.kt, rows * d);
-        grow(&mut self.v, rows * d);
-        grow(&mut self.scores, b * heads * t * t);
-        grow(&mut self.merged, rows * d);
-        grow(&mut self.attn, rows * d);
-        grow(&mut self.ffn1, rows * inner);
-        grow(&mut self.ffn2, rows * d);
-    }
-}
-
-thread_local! {
-    /// One scratch per scoring thread, reused across every forward: the
-    /// eager path used to allocate nine buffers per call
-    /// (`Scratch::new` in `FrozenModel::forward`), which at steady
-    /// state — where a serving worker replays the same batch geometry
-    /// forever — was pure allocator churn.
-    static SCRATCH: std::cell::RefCell<Scratch> = const { std::cell::RefCell::new(Scratch::empty()) };
 }
 
 /// Inference-only multi-head attention + FFN encoder layer with the Q/K/V
@@ -452,128 +360,6 @@ impl FrozenLayer {
         b.extend(v.b.value().into_vec());
         FrozenLinear::from_f32(w, vec![d, 3 * n], b)
     }
-
-    /// Mirror of `EncoderLayer::forward` in eval mode, in place on the
-    /// flat `[b*t, d]` hidden states.
-    fn forward_flat(
-        &self,
-        x: &mut [f32],
-        mask: Option<&[f32]>,
-        rel: Option<&[f32]>,
-        b: usize,
-        t: usize,
-        s: &mut Scratch,
-    ) {
-        let d = self.norm1.gamma.len();
-        let h = self.heads;
-        let dh = d / h;
-        let rows = b * t;
-
-        let inner = self.fc1.out_features();
-
-        // Attention: fused QKV projection, then per-(sample, head) GEMMs.
-        // Only weight-times-activation products go through the quantized
-        // kernels; the activation-activation attention GEMMs stay f32.
-        // Scratch may be larger than this batch (it is thread-local and
-        // only ever grows), so every kernel gets an exact prefix slice.
-        self.qkv.forward_flat(x, &mut s.qkv[..rows * 3 * d], rows);
-        for bi in 0..b {
-            for ti in 0..t {
-                let row = &s.qkv[(bi * t + ti) * 3 * d..(bi * t + ti + 1) * 3 * d];
-                for hi in 0..h {
-                    let g = bi * h + hi;
-                    for ci in 0..dh {
-                        s.q[(g * t + ti) * dh + ci] = row[hi * dh + ci];
-                        s.kt[(g * dh + ci) * t + ti] = row[d + hi * dh + ci];
-                        s.v[(g * t + ti) * dh + ci] = row[2 * d + hi * dh + ci];
-                    }
-                }
-            }
-        }
-        for g in 0..b * h {
-            gemm_nn(
-                &s.q[g * t * dh..(g + 1) * t * dh],
-                &s.kt[g * t * dh..(g + 1) * t * dh],
-                None,
-                &mut s.scores[g * t * t..(g + 1) * t * t],
-                t,
-                dh,
-                t,
-            );
-        }
-        // Scale, relative bias (before the mask, as in autograd), padding
-        // mask, softmax. Mask-free batches skip the mask add per element.
-        let inv = 1.0 / (dh as f32).sqrt();
-        for bi in 0..b {
-            let mrow = mask.map(|m| &m[bi * t..(bi + 1) * t]);
-            for hi in 0..h {
-                let base = (bi * h + hi) * t * t;
-                for i in 0..t {
-                    let srow = &mut s.scores[base + i * t..base + (i + 1) * t];
-                    match (rel, mrow) {
-                        (Some(rel), Some(mrow)) => {
-                            let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + brow[j] + mrow[j];
-                            }
-                        }
-                        (Some(rel), None) => {
-                            let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + brow[j];
-                            }
-                        }
-                        (None, Some(mrow)) => {
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + mrow[j];
-                            }
-                        }
-                        (None, None) => {
-                            for v in srow {
-                                *v *= inv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        softmax_rows(&mut s.scores[..b * h * t * t], t);
-        // Context per (sample, head), merged back to [b*t, d].
-        for bi in 0..b {
-            for hi in 0..h {
-                let g = bi * h + hi;
-                gemm_nn(
-                    &s.scores[g * t * t..(g + 1) * t * t],
-                    &s.v[g * t * dh..(g + 1) * t * dh],
-                    None,
-                    &mut s.attn[..t * dh],
-                    t,
-                    t,
-                    dh,
-                );
-                for ti in 0..t {
-                    s.merged[(bi * t + ti) * d + hi * dh..(bi * t + ti) * d + (hi + 1) * dh]
-                        .copy_from_slice(&s.attn[ti * dh..(ti + 1) * dh]);
-                }
-            }
-        }
-        self.o
-            .forward_flat(&s.merged[..rows * d], &mut s.attn[..rows * d], rows);
-        for (xv, &av) in x.iter_mut().zip(&s.attn[..rows * d]) {
-            *xv += av;
-        }
-        self.norm1.forward_flat(x);
-
-        // Feed-forward with fused bias+GELU, then the second residual norm.
-        self.fc1.forward_flat(x, &mut s.ffn1[..rows * inner], rows);
-        gelu(&mut s.ffn1[..rows * inner]);
-        self.fc2
-            .forward_flat(&s.ffn1[..rows * inner], &mut s.ffn2[..rows * d], rows);
-        for (xv, &fv) in x.iter_mut().zip(&s.ffn2[..rows * d]) {
-            *xv += fv;
-        }
-        self.norm2.forward_flat(x);
-    }
 }
 
 /// Inference-only relative-position bias table (XLNet).
@@ -585,10 +371,10 @@ pub(crate) struct FrozenRelativeBias {
     pub(crate) heads: usize,
     /// Expanded `[heads*t*t]` bias per sequence length, materialized on
     /// first use. The expansion is pure table lookup, identical every
-    /// call, yet the eager path recomputed it per batch; serving sees a
-    /// handful of bucket lengths, so this is a tiny map. Living on the
-    /// bias itself (not keyed by model pointer in the executor) means a
-    /// hot-swapped model can never observe a stale expansion.
+    /// call, and serving sees a handful of bucket lengths, so this is a
+    /// tiny map. Living on the bias itself (not keyed by model pointer in
+    /// the executor) means a hot-swapped model can never observe a stale
+    /// expansion.
     cache: std::sync::Mutex<std::collections::HashMap<usize, Arc<Vec<f32>>>>,
 }
 
@@ -610,32 +396,26 @@ impl FrozenRelativeBias {
         }
     }
 
-    /// The `[heads*t*t]` expansion for sequence length `t`, shared and
-    /// cached. An `Arc` clone on the hit path — no allocation, no copy.
-    pub(crate) fn bias_flat_cached(&self, t: usize) -> Arc<Vec<f32>> {
+    /// Mirror of `RelativeBias::bias_for`, flattened to `[heads*t*t]`
+    /// for sequence length `t`, shared and cached. An `Arc` clone on the
+    /// hit path — no allocation, no copy.
+    pub(crate) fn bias_flat(&self, t: usize) -> Arc<Vec<f32>> {
         let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(
-            cache
-                .entry(t)
-                .or_insert_with(|| Arc::new(self.bias_flat(t))),
-        )
-    }
-
-    /// Mirror of `RelativeBias::bias_for`, flattened to `[heads*t*t]`.
-    fn bias_flat(&self, t: usize) -> Vec<f32> {
-        let clamp = self.clamp as isize;
-        let width = 2 * self.clamp + 1;
-        let data = self.table.as_f32();
-        let mut out = Vec::with_capacity(self.heads * t * t);
-        for h in 0..self.heads {
-            for i in 0..t {
-                for j in 0..t {
-                    let d = (i as isize - j as isize).clamp(-clamp, clamp) + clamp;
-                    out.push(data[h * width + d as usize]);
+        Arc::clone(cache.entry(t).or_insert_with(|| {
+            let clamp = self.clamp as isize;
+            let width = 2 * self.clamp + 1;
+            let data = self.table.as_f32();
+            let mut out = Vec::with_capacity(self.heads * t * t);
+            for h in 0..self.heads {
+                for i in 0..t {
+                    for j in 0..t {
+                        let d = (i as isize - j as isize).clamp(-clamp, clamp) + clamp;
+                        out.push(data[h * width + d as usize]);
+                    }
                 }
             }
-        }
-        out
+            Arc::new(out)
+        }))
     }
 }
 
@@ -695,77 +475,6 @@ impl From<&TransformerModel> for FrozenModel {
 }
 
 impl FrozenModel {
-    /// Encode a batch into hidden states `[batch, seq, hidden]` — the
-    /// inference twin of `TransformerModel::forward` in eval mode.
-    pub fn forward(&self, batch: &Batch) -> Array {
-        let b = batch.len();
-        let t = batch.seq_len();
-        let d = self.config.hidden;
-        let mut x = self.embeddings.forward_flat(&batch.ids, &batch.segments);
-        // Additive key-position mask, one entry per (sample, position):
-        // 0.0 on real tokens, -1e9 on padding (as additive_mask_from_padding).
-        // Dynamically padded batches are often mask-free (every row fills
-        // the rounded batch length); `None` skips the mask pass entirely.
-        let mask: Option<Vec<f32>> = if batch.padding.iter().all(|row| row.iter().all(|&m| m == 1))
-        {
-            None
-        } else {
-            Some(
-                batch
-                    .padding
-                    .iter()
-                    .flat_map(|row| row.iter().map(|&m| if m == 1 { 0.0f32 } else { -1e9 }))
-                    .collect(),
-            )
-        };
-        let rel = self.relative.as_ref().map(|r| r.bias_flat(t));
-        self.encode_flat(&mut x, mask.as_deref(), rel.as_deref(), b, t);
-        Array::from_vec(x, vec![b, t, d])
-    }
-
-    /// Run the encoder stack eagerly, in place on the flat `[b*t, d]`
-    /// hidden states, with the thread-local scratch. This is the
-    /// [`ExecBackend::Eager`](crate::ExecBackend::Eager) body; the graph
-    /// executor replays a planned schedule of the same ops instead.
-    pub(crate) fn encode_flat(
-        &self,
-        x: &mut [f32],
-        mask: Option<&[f32]>,
-        rel: Option<&[f32]>,
-        b: usize,
-        t: usize,
-    ) {
-        let d = self.config.hidden;
-        debug_assert_eq!(x.len(), b * t * d);
-        let inner = self.layers.first().map_or(0, |l| l.fc1.out_features());
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.ensure(b, t, d, self.config.heads, inner);
-            for layer in &self.layers {
-                layer.forward_flat(x, mask, rel, b, t, &mut scratch);
-            }
-        });
-    }
-
-    /// Hidden state of each sample's CLS position: `[batch, hidden]`.
-    pub fn cls_states(&self, hidden: &Array, batch: &Batch) -> Array {
-        let d = self.config.hidden;
-        let t = batch.seq_len();
-        let mut out = Vec::with_capacity(batch.len() * d);
-        for (i, &c) in batch.cls_index.iter().enumerate() {
-            let off = (i * t + c) * d;
-            out.extend_from_slice(&hidden.data()[off..off + d]);
-        }
-        Array::from_vec(out, vec![batch.len(), d])
-    }
-
-    /// Pooled representation `tanh(W · cls + b)`: `[batch, hidden]`.
-    pub fn pooled_states(&self, hidden: &Array, batch: &Batch) -> Array {
-        self.pooler
-            .forward(&self.cls_states(hidden, batch))
-            .map(f32::tanh)
-    }
-
     /// Total number of frozen scalar weights (independent of the stored
     /// representation — int8 quantization scales are derived values and
     /// not counted).
@@ -933,31 +642,15 @@ impl FrozenMatcher {
         )
     }
 
-    /// Match logits `[batch, 2]` for one uniform-length batch.
-    pub fn logits(&self, batch: &Batch) -> Array {
-        let hidden = self.model.forward(batch);
-        let pooled = self.model.pooled_states(&hidden, batch);
-        self.head.forward(&pooled)
-    }
-
     /// Positive-class match probability per encoding, as one batch padded
     /// dynamically to the batch maximum. Encodings may be ragged; none may
-    /// exceed this matcher's `max_len`.
+    /// exceed this matcher's `max_len`. Runs on the calling thread's own
+    /// [`Executor`], so repeated geometries replay a cached plan.
     pub fn score_encodings(&self, encodings: &[Encoding]) -> Vec<f32> {
-        if encodings.is_empty() {
-            return Vec::new();
+        thread_local! {
+            static EXECUTOR: RefCell<Executor> = RefCell::new(Executor::new(ExecBackend::Graph));
         }
-        for e in encodings {
-            assert!(
-                e.ids.len() <= self.max_len,
-                "encoding length {} exceeds the frozen matcher's max_len {}",
-                e.ids.len(),
-                self.max_len
-            );
-        }
-        let batch = Batch::from_encodings(encodings);
-        let probs = softmax_array(&self.logits(&batch));
-        (0..encodings.len()).map(|i| probs.at(&[i, 1])).collect()
+        EXECUTOR.with(|exec| exec.borrow_mut().score_encodings(self, encodings))
     }
 }
 

@@ -7,10 +7,8 @@
 //! for concurrent inference. This crate adds the serving half:
 //!
 //! 1. **Frozen export** ([`FrozenModel`] / [`FrozenMatcher`]): copy the
-//!    weights of a trained model into plain `Send + Sync` buffers with an
-//!    inference-only forward pass that reproduces the autograd logits to
-//!    within 1e-5 on all four architectures (BERT, XLNet, RoBERTa,
-//!    DistilBERT).
+//!    weights of a trained model into plain `Send + Sync` buffers, in
+//!    f32, f16 or int8.
 //! 2. **Micro-batching matcher** ([`ServeMatcher`]): a supervised worker
 //!    pool over one `Arc`-shared frozen matcher that coalesces concurrent
 //!    requests into length-bucketed batches, with a bounded queue for
@@ -23,12 +21,12 @@
 //!    ([`ServeError::Overloaded`]), and a degraded mode that answers with
 //!    a fallback `Predictor` when the transformer path is down
 //!    ([`ServeMatcher::with_fallback`]).
-//! 4. **A lazy graph executor** ([`Executor`], backed by `em-graph`):
-//!    workers trace + plan the frozen forward once per length-bucket
-//!    geometry (fused kernels, one arena allocation, per-worker plan
-//!    cache) and replay the schedule for every later batch. Selected by
-//!    [`ExecBackend`] (the default); [`ExecBackend::Eager`] keeps the
-//!    op-by-op interpreter. Scores are bit-identical either way.
+//! 4. **The forward** ([`Executor`], backed by `em-graph`): the frozen
+//!    forward is traced + planned once per length-bucket geometry (fused
+//!    kernels, one arena allocation, per-thread plan cache) and the
+//!    schedule replayed for every later batch. It reproduces the
+//!    autograd logits to within 1e-5 on all four architectures (BERT,
+//!    XLNet, RoBERTa, DistilBERT) and is the only way this crate scores.
 //!
 //! Both layers speak the unified `em_core::Predictor` surface, so a
 //! frozen or served matcher drops in anywhere an `EmMatcher` scores
@@ -59,11 +57,9 @@ pub mod matcher;
 pub mod supervisor;
 mod trace;
 
-pub use config::{
-    ExecBackend, RetryPolicy, ServeConfig, ServeConfigBuilder, ServeError, SwapError,
-};
+pub use config::{RetryPolicy, ServeConfig, ServeConfigBuilder, ServeError, SwapError};
 pub use em_checkpoint::CheckpointError;
-pub use executor::{plan_key, Executor};
+pub use executor::{plan_key, ExecBackend, Executor};
 pub use fault::{Fault, FaultPlan};
 pub use frozen::{freeze_parts, FrozenLinear, FrozenMatcher, FrozenModel, QuantMode};
 pub use matcher::{ScoreTicket, ServeMatcher, ServeStats};

@@ -202,10 +202,7 @@ pub struct ServeStats {
     pub worker_restarts: u64,
     /// Successful hot-swaps ([`ServeMatcher::swap_model`]) since start.
     pub swaps: u64,
-    /// Batches whose execution plan was already cached by their worker
-    /// (graph backend only; always 0 under [`ExecBackend::Eager`]).
-    ///
-    /// [`ExecBackend::Eager`]: crate::ExecBackend::Eager
+    /// Batches whose execution plan was already cached by their worker.
     pub plan_cache_hits: u64,
     /// Batches that had to trace + plan first: one per (worker, length
     /// bucket) geometry at steady state, plus cold respawned workers.

@@ -25,7 +25,7 @@
 //! supervisor returns once it reaches zero.
 
 use crate::config::{ServeConfig, ServeError};
-use crate::executor::Executor;
+use crate::executor::{ExecBackend, Executor};
 use crate::fault::{Fault, InjectedFault};
 use crate::matcher::{Job, ModelCell, StatsInner};
 use crate::trace::BatchTiming;
@@ -243,7 +243,7 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
     // live for the worker's lifetime, so a steady stream of same-bucket
     // batches replans nothing and allocates nothing. A respawned worker
     // starts cold and simply replans on its first batch per bucket.
-    let mut exec = Executor::new(cfg.backend);
+    let mut exec = Executor::new(ExecBackend::Graph);
     let mut disconnected = false;
     loop {
         // Batch head: the oldest stashed job, else block on the queue

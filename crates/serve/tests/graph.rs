@@ -1,8 +1,9 @@
-//! Graph-executor equivalence tests: the traced/planned/replayed lazy
-//! forward must reproduce the eager interpreter bit-for-bit and the
-//! autograd logits to 1e-5 — across all four architectures (including
-//! XLNet's relative position bias), all three quantization modes, and
-//! ragged batch geometries replayed inside a larger planned envelope.
+//! Forward equivalence tests: the traced/planned/replayed frozen
+//! forward must reproduce the autograd logits to 1e-5 across all four
+//! architectures (including XLNet's relative position bias), and a plan
+//! replayed under any condition — partial fill inside a larger planned
+//! envelope, swapped weights, f16/int8 weights — must score like a fresh
+//! executor planning for exactly that batch.
 
 use em_core::train_tokenizer;
 use em_nn::Ctx;
@@ -82,7 +83,7 @@ fn autograd_logits(
     })
 }
 
-/// Lazy (graph-executed) logits vs autograd within 1e-5 on a ragged batch.
+/// Frozen logits vs autograd within 1e-5 on a ragged batch.
 fn assert_graph_matches_autograd(arch: Architecture, seed: u64) {
     let (model, head) = tiny_model(arch, seed);
     let max_len = 24;
@@ -107,35 +108,8 @@ fn assert_graph_matches_autograd(arch: Architecture, seed: u64) {
     }
 }
 
-/// Lazy scores must be *bit-identical* to the eager interpreter in every
-/// weight representation: the planner's fused kernels run the same
-/// per-element arithmetic in the same order as the unfused path.
-fn assert_graph_matches_eager(arch: Architecture, seed: u64) {
-    let max_len = 20;
-    let matcher = tiny_frozen_matcher(arch, seed, max_len);
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(91).wrapping_add(5));
-    let encodings: Vec<Encoding> = (0..5)
-        .map(|_| random_encoding(&mut rng, arch, max_len))
-        .collect();
-    for mode in [QuantMode::F32, QuantMode::F16, QuantMode::Int8] {
-        let q = matcher.quantize(mode);
-        let want = q.score_encodings(&encodings); // eager baseline
-        let mut exec = Executor::new(ExecBackend::Graph);
-        let got = exec.score_encodings(&q, &encodings);
-        assert_eq!(want.len(), got.len());
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(
-                w,
-                g,
-                "{} {mode} score {i}: eager {w} vs graph {g}",
-                arch.name()
-            );
-        }
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn graph_matches_autograd_bert(seed in 0u64..10_000) {
@@ -156,47 +130,19 @@ proptest! {
     fn graph_matches_autograd_distilbert(seed in 0u64..10_000) {
         assert_graph_matches_autograd(Architecture::DistilBert, seed);
     }
-
-    #[test]
-    fn graph_matches_eager_all_quant_modes_bert(seed in 0u64..10_000) {
-        assert_graph_matches_eager(Architecture::Bert, seed);
-    }
-
-    #[test]
-    fn graph_matches_eager_all_quant_modes_xlnet(seed in 0u64..10_000) {
-        assert_graph_matches_eager(Architecture::Xlnet, seed);
-    }
-
-    #[test]
-    fn graph_matches_eager_all_quant_modes_roberta(seed in 0u64..10_000) {
-        assert_graph_matches_eager(Architecture::Roberta, seed);
-    }
-
-    #[test]
-    fn graph_matches_eager_all_quant_modes_distilbert(seed in 0u64..10_000) {
-        assert_graph_matches_eager(Architecture::DistilBert, seed);
-    }
 }
 
-/// The eager backend is a pure delegation to the interpreter baseline.
-#[test]
-fn eager_backend_is_the_interpreter_baseline() {
-    let matcher = tiny_frozen_matcher(Architecture::Bert, 21, 16);
-    let mut rng = StdRng::seed_from_u64(77);
-    let encodings: Vec<Encoding> = (0..4)
-        .map(|_| random_encoding(&mut rng, Architecture::Bert, 16))
-        .collect();
-    let mut exec = Executor::new(ExecBackend::Eager);
-    assert_eq!(exec.backend(), ExecBackend::Eager);
-    let got = exec.score_encodings(&matcher, &encodings);
-    assert_eq!(got, matcher.score_encodings(&encodings));
-    // The eager path never touches the plan cache.
-    assert_eq!(exec.take_plan_counts(), (0, 0));
+/// Scores from a fresh executor that plans for exactly this batch (no
+/// capacity hint, empty plan cache).
+fn fresh_scores(matcher: &FrozenMatcher, encodings: &[Encoding]) -> Vec<f32> {
+    Executor::new(ExecBackend::Graph).score_encodings(matcher, encodings)
 }
 
 /// One plan per (geometry, capacity envelope): batches of every fill
 /// level 1..=cap replay the envelope plan, so only the very first batch
-/// is a cache miss and the scores still match the eager per-batch run.
+/// is a cache miss, and each partial fill scores exactly like a fresh
+/// un-hinted executor — in every weight representation, with f16/int8
+/// staying within the tolerances `serve.rs` holds them to against f32.
 #[test]
 fn plan_cache_hits_across_fill_levels() {
     let arch = Architecture::Bert;
@@ -206,16 +152,27 @@ fn plan_cache_hits_across_fill_levels() {
     let encodings: Vec<Encoding> = (0..cap)
         .map(|_| fixed_len_encoding(&mut rng, arch, 12))
         .collect();
-    let mut exec = Executor::new(ExecBackend::Graph);
-    exec.set_batch_capacity(cap);
-    for fill in 1..=cap {
-        let slice = &encodings[..fill];
-        let got = exec.score_encodings(&matcher, slice);
-        assert_eq!(got, matcher.score_encodings(slice), "fill {fill}");
+    let f32_scores = fresh_scores(&matcher, &encodings);
+    for (mode, tol) in [
+        (QuantMode::F32, 0.0),
+        (QuantMode::F16, 5e-3),
+        (QuantMode::Int8, 5e-2),
+    ] {
+        let q = matcher.quantize(mode);
+        let mut exec = Executor::new(ExecBackend::Graph);
+        exec.set_batch_capacity(cap);
+        for fill in 1..=cap {
+            let slice = &encodings[..fill];
+            let got = exec.score_encodings(&q, slice);
+            assert_eq!(got, fresh_scores(&q, slice), "{mode} fill {fill}");
+            for (w, g) in f32_scores.iter().zip(&got) {
+                assert!((w - g).abs() <= tol, "{mode} fill {fill}: f32 {w} vs {g}");
+            }
+        }
+        let (hits, misses) = exec.take_plan_counts();
+        assert_eq!(misses, 1, "one planning pass for the capacity envelope");
+        assert_eq!(hits, cap as u64 - 1, "every later fill level replays it");
     }
-    let (hits, misses) = exec.take_plan_counts();
-    assert_eq!(misses, 1, "one planning pass for the capacity envelope");
-    assert_eq!(hits, cap as u64 - 1, "every later fill level replays it");
 }
 
 /// A hot swap that preserves geometry must keep serving correct scores
@@ -233,41 +190,37 @@ fn cached_plan_survives_a_weight_swap() {
     let mut exec = Executor::new(ExecBackend::Graph);
     let got_a = exec.score_encodings(&a, &encodings);
     let got_b = exec.score_encodings(&b, &encodings);
-    assert_eq!(got_a, a.score_encodings(&encodings));
-    assert_eq!(got_b, b.score_encodings(&encodings));
+    assert_eq!(got_a, fresh_scores(&a, &encodings));
+    assert_eq!(got_b, fresh_scores(&b, &encodings));
     let (hits, misses) = exec.take_plan_counts();
     assert_eq!((hits, misses), (1, 1), "the swap re-used the cached plan");
 }
 
-/// Served scores through the default (graph) backend match the eager
-/// backend exactly, and the plan-cache counters surface in `ServeStats`:
-/// the graph matcher plans at least once and replays thereafter, while
-/// the eager matcher never touches the planner.
+/// Served scores equal direct scoring (batching is invisible in the
+/// bits), and the plan-cache counters surface in `ServeStats`: the
+/// worker plans at least once and replays thereafter, one plan-cache
+/// probe per scored batch.
 #[test]
-fn served_graph_scores_match_eager_and_report_plan_cache() {
+fn served_scores_report_plan_cache() {
     let matcher = tiny_frozen_matcher(Architecture::Bert, 55, 16);
     let mut rng = StdRng::seed_from_u64(4242);
     let encodings: Vec<Encoding> = (0..8)
         .map(|_| fixed_len_encoding(&mut rng, Architecture::Bert, 12))
         .collect();
-    let cfg = |backend| {
-        ServeConfig::builder()
-            .workers(1)
-            .max_batch(4)
-            .cache_capacity(0)
-            .backend(backend)
-            .build()
-            .unwrap()
-    };
-    let graph = ServeMatcher::start(matcher.clone(), cfg(ExecBackend::Graph));
-    let eager = ServeMatcher::start(matcher, cfg(ExecBackend::Eager));
+    let cfg = ServeConfig::builder()
+        .workers(1)
+        .max_batch(4)
+        .cache_capacity(0)
+        .build()
+        .unwrap();
+    let want = fresh_scores(&matcher, &encodings);
+    let serve = ServeMatcher::start(matcher, cfg);
     // Two rounds: the first plans (≥1 miss), the second replays (hits).
-    let g1 = graph.score_encodings(&encodings).unwrap();
-    let g2 = graph.score_encodings(&encodings).unwrap();
-    let e1 = eager.score_encodings(&encodings).unwrap();
-    assert_eq!(g1, e1);
-    assert_eq!(g2, e1);
-    let gs = graph.stats();
+    let g1 = serve.score_encodings(&encodings).unwrap();
+    let g2 = serve.score_encodings(&encodings).unwrap();
+    assert_eq!(g1, want);
+    assert_eq!(g2, want);
+    let gs = serve.stats();
     assert!(gs.plan_cache_misses >= 1, "first batch must plan");
     assert!(gs.plan_cache_hits >= 1, "steady state must replay");
     assert_eq!(
@@ -277,6 +230,4 @@ fn served_graph_scores_match_eager_and_report_plan_cache() {
     );
     let rate = gs.plan_cache_hit_rate();
     assert!(rate > 0.0 && rate <= 1.0, "hit rate {rate} out of range");
-    let es = eager.stats();
-    assert_eq!((es.plan_cache_hits, es.plan_cache_misses), (0, 0));
 }

@@ -1,11 +1,12 @@
-//! em-serve integration tests: frozen-vs-autograd equivalence across all
+//! em-serve integration tests: dynamic-padding invariance across all
 //! four architectures, concurrent serving correctness, and typed
-//! timeout / shutdown behaviour.
+//! timeout / shutdown behaviour. (Frozen-vs-autograd equivalence lives
+//! in `graph.rs`.)
 
 use em_core::{train_tokenizer, Predictor};
 use em_nn::{Ctx, Module};
 use em_serve::{
-    freeze_parts, Fault, FaultPlan, FrozenLinear, FrozenMatcher, FrozenModel, QuantMode,
+    freeze_parts, ExecBackend, Executor, Fault, FaultPlan, FrozenMatcher, FrozenModel, QuantMode,
     ServeConfig, ServeError, ServeMatcher, SwapError,
 };
 use em_tensor::no_grad;
@@ -75,35 +76,12 @@ fn autograd_logits(
     })
 }
 
-fn frozen_logits(
-    model: &TransformerModel,
-    head: &ClassificationHead,
-    batch: &Batch,
-) -> em_tensor::Array {
-    let frozen = FrozenModel::from(model);
-    let classifier = FrozenLinear::from(head.classifier());
-    let hidden = frozen.forward(batch);
-    classifier.forward(&frozen.pooled_states(&hidden, batch))
-}
-
-fn assert_logits_match(arch: Architecture, seed: u64) {
-    let (model, head) = tiny_model(arch, seed);
-    let max_len = 24;
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
-    let encodings: Vec<Encoding> = (0..4)
-        .map(|_| random_encoding(&mut rng, arch, max_len))
-        .collect();
-    let batch = Batch::from_encodings(&encodings);
-    let want = autograd_logits(&model, &head, &batch);
-    let got = frozen_logits(&model, &head, &batch);
-    assert_eq!(want.shape(), got.shape());
-    for (i, (w, g)) in want.data().iter().zip(got.data()).enumerate() {
-        assert!(
-            (w - g).abs() < 1e-5,
-            "{} logit {i}: autograd {w} vs frozen {g}",
-            arch.name()
-        );
-    }
+fn frozen_logits(model: &TransformerModel, head: &ClassificationHead, batch: &Batch) -> Vec<f32> {
+    let tok = train_tokenizer(model.config.arch, &em_data::generate_corpus(30, 1), 200);
+    let matcher = freeze_parts(model, head, tok, batch.seq_len());
+    Executor::new(ExecBackend::Graph)
+        .logits(&matcher, batch)
+        .to_vec()
 }
 
 /// Dynamic padding must be invisible in the logits: the same encodings
@@ -124,8 +102,8 @@ fn assert_dynamic_matches_padded(arch: Architecture, seed: u64) {
     for (label, want, got) in [
         (
             "autograd",
-            autograd_logits(&model, &head, &full),
-            autograd_logits(&model, &head, &dynamic),
+            autograd_logits(&model, &head, &full).into_vec(),
+            autograd_logits(&model, &head, &dynamic).into_vec(),
         ),
         (
             "frozen",
@@ -133,8 +111,8 @@ fn assert_dynamic_matches_padded(arch: Architecture, seed: u64) {
             frozen_logits(&model, &head, &dynamic),
         ),
     ] {
-        assert_eq!(want.shape(), got.shape());
-        for (i, (w, g)) in want.data().iter().zip(got.data()).enumerate() {
+        assert_eq!(want.len(), got.len());
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
             assert!(
                 (w - g).abs() < 1e-5,
                 "{} {label} logit {i}: full-pad {w} vs dynamic {g}",
@@ -146,26 +124,6 @@ fn assert_dynamic_matches_padded(arch: Architecture, seed: u64) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn frozen_matches_autograd_bert(seed in 0u64..10_000) {
-        assert_logits_match(Architecture::Bert, seed);
-    }
-
-    #[test]
-    fn frozen_matches_autograd_xlnet(seed in 0u64..10_000) {
-        assert_logits_match(Architecture::Xlnet, seed);
-    }
-
-    #[test]
-    fn frozen_matches_autograd_roberta(seed in 0u64..10_000) {
-        assert_logits_match(Architecture::Roberta, seed);
-    }
-
-    #[test]
-    fn frozen_matches_autograd_distilbert(seed in 0u64..10_000) {
-        assert_logits_match(Architecture::DistilBert, seed);
-    }
 
     #[test]
     fn dynamic_padding_matches_full_bert(seed in 0u64..10_000) {

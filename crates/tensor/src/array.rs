@@ -65,14 +65,6 @@ fn eff_strides(src: &[usize], out: &[usize]) -> Vec<usize> {
     eff
 }
 
-/// Whether the run-at-a-time layout fast paths are enabled. They produce
-/// bit-identical results, but `Backend::Scalar` keeps the original
-/// element-at-a-time loops so trainbench's baseline replays the pre-PR
-/// cost model faithfully.
-fn fast_layout() -> bool {
-    em_kernels::backend() == em_kernels::Backend::Auto
-}
-
 /// Result shape of broadcasting `a` against `b`, or `None` if incompatible.
 ///
 /// Follows NumPy rules: align trailing dimensions; each pair must be equal
@@ -269,21 +261,8 @@ impl Array {
         }
         let out_shape = broadcast_shape(&self.shape, &other.shape)
             .unwrap_or_else(|| panic!("cannot broadcast {:?} with {:?}", self.shape, other.shape));
-        if fast_layout() && !out_shape.is_empty() {
-            return self.zip_broadcast_runs(other, &out_shape, f);
-        }
-        let a = self.broadcast_to(&out_shape);
-        let b = other.broadcast_to(&out_shape);
-        let data = a
-            .data
-            .iter()
-            .zip(&b.data)
-            .map(|(&x, &y)| f(x, y))
-            .collect::<Vec<_>>();
-        Array {
-            data,
-            shape: out_shape,
-        }
+        // Unequal shapes, so at least one has rank ≥ 1 and so does the result.
+        self.zip_broadcast_runs(other, &out_shape, f)
     }
 
     /// Broadcast `f` over `self`/`other` one inner run at a time: no
@@ -405,39 +384,23 @@ impl Array {
         let ndim = self.shape.len();
         let mut out = Array::zeros(target.to_vec());
         let eff = eff_strides(target, &self.shape);
-        if ndim > 0 && fast_layout() {
-            // Whole inner runs at a time: either the target keeps the last
-            // dimension (accumulate row into row) or it drops/collapses it
-            // (reduce row to a scalar).
-            let last = ndim - 1;
-            let run = self.shape[last].max(1);
-            let mut idx = vec![0usize; last];
-            let mut tgt_off = 0usize;
-            for chunk in self.data.chunks(run) {
-                if eff[last] == 1 {
-                    for (o, &v) in out.data[tgt_off..tgt_off + run].iter_mut().zip(chunk) {
-                        *o += v;
-                    }
-                } else {
-                    out.data[tgt_off] += chunk.iter().sum::<f32>();
-                }
-                for d in (0..last).rev() {
-                    idx[d] += 1;
-                    tgt_off += eff[d];
-                    if idx[d] < self.shape[d] {
-                        break;
-                    }
-                    tgt_off -= eff[d] * self.shape[d];
-                    idx[d] = 0;
-                }
-            }
-            return out;
-        }
-        let mut idx = vec![0usize; ndim];
+        // `target` differs from `self.shape` and broadcasts to it, so the
+        // rank is ≥ 1. Whole inner runs at a time: either the target keeps
+        // the last dimension (accumulate row into row) or it
+        // drops/collapses it (reduce row to a scalar).
+        let last = ndim - 1;
+        let run = self.shape[last].max(1);
+        let mut idx = vec![0usize; last];
         let mut tgt_off = 0usize;
-        for &v in &self.data {
-            out.data[tgt_off] += v;
-            for d in (0..ndim).rev() {
+        for chunk in self.data.chunks(run) {
+            if eff[last] == 1 {
+                for (o, &v) in out.data[tgt_off..tgt_off + run].iter_mut().zip(chunk) {
+                    *o += v;
+                }
+            } else {
+                out.data[tgt_off] += chunk.iter().sum::<f32>();
+            }
+            for d in (0..last).rev() {
                 idx[d] += 1;
                 tgt_off += eff[d];
                 if idx[d] < self.shape[d] {
@@ -574,7 +537,7 @@ impl Array {
         let eff: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
         let mut out = vec![0.0f32; self.data.len()];
         let ndim = out_shape.len();
-        if ndim > 0 && eff[ndim - 1] == 1 && fast_layout() {
+        if ndim > 0 && eff[ndim - 1] == 1 {
             // The innermost output dimension walks contiguous input memory
             // (true for every head split/merge in attention), so move whole
             // runs instead of stepping the odometer per element.

@@ -130,10 +130,7 @@ fn matmul_impl(a: &Array, b: &Array, variant: Variant) -> Array {
 
     if batch == 1 {
         gemm_variant(variant, ad, bd, &mut out, m, ka, n);
-    } else if variant != Variant::Tn
-        && sb.len() == 2
-        && em_kernels::backend() == em_kernels::Backend::Auto
-    {
+    } else if variant != Variant::Tn && sb.len() == 2 {
         // Shared 2-D right operand: the batch of `m×k` blocks is one
         // contiguous `(batch·m)×k` matrix — run a single large GEMM and
         // let the kernel row-partition it, instead of `batch` small calls.

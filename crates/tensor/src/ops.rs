@@ -11,8 +11,6 @@ use crate::array::Array;
 use crate::tensor::Tensor;
 use rand::Rng;
 
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
 /// Accumulate `g` into parent `p`, reducing broadcast dimensions back to
 /// `shape` first. Skips the reduction entirely for non-grad parents (e.g.
 /// a constant attention mask) and moves freshly reduced buffers into the
@@ -129,15 +127,6 @@ impl Tensor {
         let (va, vb) = (self.value(), other.value());
         let (sa, sb) = (self.shape(), other.shape());
         Tensor::from_op(out, vec![self.clone(), other.clone()], move |g| {
-            if em_kernels::backend() == em_kernels::Backend::Scalar {
-                // Pre-kernels arithmetic: materialized transposes, kept as
-                // the trainbench baseline.
-                let da = g.matmul(&vb.transpose_last());
-                pa.accumulate_grad(&da.reduce_to_shape(&sa));
-                let db = va.transpose_last().matmul(g);
-                pb.accumulate_grad(&db.reduce_to_shape(&sb));
-                return;
-            }
             // dA = g · Bᵀ through the NT kernel — no transpose copy.
             if pa.requires_grad() {
                 pa.accumulate_grad_owned(reduce_owned(g.matmul_nt(&vb), &sa));
@@ -159,10 +148,6 @@ impl Tensor {
     /// x [.., n, k]`) — attention scores `Q·Kᵀ` without materializing the
     /// transposed keys, in forward *or* backward.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        if em_kernels::backend() == em_kernels::Backend::Scalar {
-            // Pre-kernels arithmetic for the trainbench baseline.
-            return self.matmul(&other.transpose_last());
-        }
         let out = self.with_value(|a| other.with_value(|b| a.matmul_nt(b)));
         let (pa, pb) = (self.clone(), other.clone());
         let (va, vb) = (self.value(), other.value());
@@ -314,18 +299,6 @@ impl Tensor {
         let p = self.clone();
         let v = self.value();
         Tensor::from_op(out, vec![self.clone()], move |g| {
-            if em_kernels::backend() == em_kernels::Backend::Scalar {
-                // Pre-kernels arithmetic (libm tanh per element), kept as
-                // the trainbench baseline.
-                let dg = g.zip_broadcast(&v, |gi, x| {
-                    let u = GELU_C * (x + 0.044715 * x * x * x);
-                    let t = u.tanh();
-                    let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-                    gi * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
-                });
-                p.accumulate_grad(&dg);
-                return;
-            }
             let mut dx = vec![0.0f32; g.len()];
             em_kernels::gelu_backward(v.data(), g.data(), &mut dx);
             p.accumulate_grad_owned(Array::from_vec(dx, g.shape().to_vec()));
@@ -397,15 +370,6 @@ impl Tensor {
         let p = self.clone();
         let y = out.clone();
         Tensor::from_op(out, vec![self.clone()], move |g| {
-            if em_kernels::backend() == em_kernels::Backend::Scalar {
-                // Pre-kernels arithmetic composed from Array primitives,
-                // kept as the trainbench baseline.
-                let gy = g.mul(&y);
-                let s = gy.sum_axis(y.ndim() - 1, true);
-                let dx = y.mul(&g.sub(&s));
-                p.accumulate_grad(&dx);
-                return;
-            }
             // Fused row kernel: dx = y ⊙ (g − Σ g⊙y) with no temporaries.
             let d = *y.shape().last().expect("softmax on scalar");
             let mut dx = vec![0.0f32; g.len()];
@@ -433,9 +397,7 @@ impl Tensor {
             && sb[sb.len() - 1] == d
             && sb[1..sb.len() - 1].iter().all(|&v| v == 1)
             && (sb[0] == shape[0] || sb[0] == 1);
-        if !fits || em_kernels::backend() == em_kernels::Backend::Scalar {
-            // Scalar keeps the pre-kernels graph (broadcast add node plus
-            // softmax) as the trainbench baseline.
+        if !fits {
             return self.add(&Tensor::constant(bias.clone())).softmax();
         }
         let rows = self.with_value(Array::len) / d;
@@ -539,25 +501,6 @@ impl Tensor {
             return self.clone();
         }
         let keep = 1.0 - p;
-        if em_kernels::backend() == em_kernels::Backend::Scalar {
-            // Pre-kernels shape: build the mask array, then multiply in a
-            // second pass. Kept as the trainbench baseline.
-            let mask: Vec<f32> = (0..self.shape().iter().product::<usize>())
-                .map(|_| {
-                    if rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let mask = Array::from_vec(mask, self.shape());
-            let out = self.with_value(|a| a.mul(&mask));
-            let parent = self.clone();
-            return Tensor::from_op(out, vec![self.clone()], move |g| {
-                parent.accumulate_grad(&g.mul(&mask));
-            });
-        }
         // Fused: sample the mask and apply it in one pass over the input,
         // comparing raw u32 draws against an integer threshold (no
         // per-element int→float conversion).
@@ -610,8 +553,7 @@ impl Tensor {
             out,
             vec![self.clone(), gamma.clone(), beta.clone()],
             move |g| {
-                // Fused backward over rows, shared with the kernels crate
-                // (same loop the pre-kernels implementation ran inline).
+                // Fused backward over rows, shared with the kernels crate.
                 let mut dgamma = vec![0.0f32; d];
                 let mut dbeta = vec![0.0f32; d];
                 let mut dx = vec![0.0f32; g.len()];
@@ -647,10 +589,6 @@ pub fn layer_norm_array(x: &Array, gamma: &[f32], beta: &[f32], eps: f32) -> Arr
 /// Value-level GELU (tanh approximation) — the weight-extraction twin of
 /// [`Tensor::gelu`] used by frozen inference models.
 pub fn gelu_array(x: &Array) -> Array {
-    if em_kernels::backend() == em_kernels::Backend::Scalar {
-        // Pre-kernels arithmetic (libm tanh), the trainbench baseline.
-        return x.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + 0.044715 * v * v * v)).tanh()));
-    }
     let mut out = x.data().to_vec();
     em_kernels::gelu(&mut out);
     Array::from_vec(out, x.shape().to_vec())
@@ -659,25 +597,6 @@ pub fn gelu_array(x: &Array) -> Array {
 /// Numerically-stable softmax over the last axis of a raw array.
 pub fn softmax_array(x: &Array) -> Array {
     let d = *x.shape().last().expect("softmax on scalar");
-    if em_kernels::backend() == em_kernels::Backend::Scalar {
-        // Pre-kernels arithmetic (libm exp), the trainbench baseline.
-        let rows = x.len() / d;
-        let mut out = vec![0.0f32; x.len()];
-        for r in 0..rows {
-            let row = &x.data()[r * d..(r + 1) * d];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            for j in 0..d {
-                let e = (row[j] - m).exp();
-                out[r * d + j] = e;
-                denom += e;
-            }
-            for j in 0..d {
-                out[r * d + j] /= denom;
-            }
-        }
-        return Array::from_vec(out, x.shape().to_vec());
-    }
     let mut out = x.data().to_vec();
     em_kernels::softmax_rows(&mut out, d);
     Array::from_vec(out, x.shape().to_vec())
@@ -686,20 +605,6 @@ pub fn softmax_array(x: &Array) -> Array {
 /// Numerically-stable log-softmax over the last axis of a raw array.
 pub fn log_softmax_array(x: &Array) -> Array {
     let d = *x.shape().last().expect("log_softmax on scalar");
-    if em_kernels::backend() == em_kernels::Backend::Scalar {
-        // Pre-kernels arithmetic (libm exp/ln), the trainbench baseline.
-        let rows = x.len() / d;
-        let mut out = vec![0.0f32; x.len()];
-        for r in 0..rows {
-            let row = &x.data()[r * d..(r + 1) * d];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|v| (v - m).exp()).sum::<f32>().ln() + m;
-            for j in 0..d {
-                out[r * d + j] = row[j] - lse;
-            }
-        }
-        return Array::from_vec(out, x.shape().to_vec());
-    }
     let mut out = x.data().to_vec();
     em_kernels::log_softmax_rows(&mut out, d);
     Array::from_vec(out, x.shape().to_vec())
