@@ -283,7 +283,6 @@ fn latency_run(args: &Args) {
     let serve_cfg = ServeConfig::builder()
         .workers(workers)
         .max_batch(max_batch)
-        .max_wait_ms(2)
         .cache_capacity(0) // latency of the forward path, not the cache
         .slow_request_threshold_ms(slow_ms)
         .build()
@@ -439,7 +438,6 @@ fn chaos_run(args: &Args) {
     let serve_cfg = ServeConfig::builder()
         .workers(workers)
         .max_batch(8)
-        .max_wait_ms(1)
         .cache_capacity(0)
         .request_timeout_ms(5_000)
         .shed(true)
@@ -592,7 +590,6 @@ fn load_run(args: &Args) {
         let serve_cfg = ServeConfig::builder()
             .workers(workers)
             .max_batch(max_batch)
-            .max_wait_ms(1)
             .cache_capacity(0) // measure forwards, not cache hits
             .queue_depth(64)
             .shed(true)
@@ -704,7 +701,6 @@ fn load_run(args: &Args) {
     let serve_cfg = ServeConfig::builder()
         .workers(2)
         .max_batch(max_batch)
-        .max_wait_ms(1)
         .cache_capacity(0)
         .request_timeout_ms(5_000)
         .shed(true)
@@ -1076,7 +1072,6 @@ fn quant_run(args: &Args) {
         let serve_cfg = ServeConfig::builder()
             .workers(workers)
             .max_batch(max_batch)
-            .max_wait_ms(2)
             .cache_capacity(0) // throughput of the forward path, not the cache
             .build()
             .expect("valid quant serve config");
@@ -1168,7 +1163,6 @@ fn quant_run(args: &Args) {
     let serve_cfg = ServeConfig::builder()
         .workers(workers)
         .max_batch(max_batch)
-        .max_wait_ms(2)
         .cache_capacity(64) // the version-keyed cache is part of the swap path
         .build()
         .expect("valid quant serve config");
@@ -1340,7 +1334,6 @@ fn main() {
         let serve_cfg = ServeConfig::builder()
             .workers(workers)
             .max_batch(max_batch)
-            .max_wait_ms(2)
             .cache_capacity(0) // throughput of the forward path, not the cache
             .build()
             .expect("valid serve config");

@@ -89,17 +89,19 @@ impl GraphExecutor {
 
     /// Run the frozen forward for `key`'s geometry over the flat
     /// `[batch*seq, hidden]` states `x`, planning on first sight and
-    /// replaying the cached schedule afterwards. `batch` may be any
-    /// value ≤ `key.batch_cap`. Returns the plan that ran (for
-    /// reporting: arena size, fusion counts).
+    /// replaying the cached schedules afterwards; the `[batch, hidden]`
+    /// final states of the rows at `cls` (one sequence position per
+    /// example, so `cls.len()` is the batch) are left at the front of
+    /// `x`. The batch may be any size ≤ `key.batch_cap`. Returns the
+    /// plan that ran (for reporting: arena size, fusion counts).
     pub fn run(
         &mut self,
         key: PlanKey,
         model: &dyn GraphModel,
-        batch: usize,
         x: &mut [f32],
         mask: Option<&[f32]>,
         rel: Option<&[f32]>,
+        cls: &[usize],
     ) -> Arc<Plan> {
         let (plan, hit) = self.cache.get_or_build(key);
         if hit {
@@ -110,7 +112,7 @@ impl GraphExecutor {
         if self.arena.len() < plan.arena_len {
             self.arena.resize(plan.arena_len, 0.0);
         }
-        execute(&plan, model, batch, x, mask, rel, &mut self.arena);
+        execute(&plan, model, x, mask, rel, cls, &mut self.arena);
         plan
     }
 

@@ -1,15 +1,20 @@
 //! Replay: execute a planned schedule against bound weights.
 //!
-//! The executor walks the canonical layer schedule `key.layers` times,
-//! resolving virtual buffers to disjoint views of the caller's arena
-//! and binding weight slots through [`GraphModel`] — the only code in
-//! the workspace that walks the encoder layers of a frozen model. Fused
-//! ops run the same kernels in the same element order as the op chains
-//! they replace, so fused replay is bitwise-equal to unfused replay.
+//! The executor walks the plan's body schedule for layers
+//! `0..layers − 1` and its score-only tail for the last, resolving
+//! virtual buffers to disjoint views of the caller's arena and binding
+//! weight slots through [`GraphModel`] — the only code in the workspace
+//! that walks the encoder layers of a frozen model. Both schedules run
+//! through one loop and one `match`: an op covers every token until the
+//! tail's `GatherCls` narrows the rest of the layer to each example's
+//! CLS row, whose position is a replay input like the mask. Fused ops
+//! run the same kernels in the same element order as the op chains they
+//! replace, so fused replay is bitwise-equal to unfused replay.
 //!
-//! Plans are sized for `key.batch_cap` but replay any actual batch
-//! `b ≤ batch_cap`: every batched buffer is row-major with the batch
-//! index outermost, so the live data is a prefix of each arena span.
+//! Plans are sized for `key.batch_cap` whole sequences but replay any
+//! actual batch `b ≤ batch_cap`, and the tail any one row per example:
+//! every batched buffer is row-major with the batch index outermost, so
+//! the live data is a prefix of each arena span.
 
 use em_kernels::{attn_softmax_rows, gelu, gemm_nn, softmax_rows, Act};
 
@@ -62,33 +67,55 @@ fn views<const N: usize>(arena: &mut [f32], req: [(usize, usize); N]) -> [&mut [
     out.map(|v| v.expect("every requested view was carved"))
 }
 
-/// Replay `plan` over the flat `[batch*seq, hidden]` states `x`.
+/// Replay `plan` over the flat `[batch*seq, hidden]` states `x`: the
+/// body schedule for every layer but the last, the score-only tail for
+/// the last. On return the first `batch * hidden` elements of `x` hold
+/// the final `[batch, hidden]` CLS states; the rest is scratch.
 ///
-/// `mask` is the optional `[batch*seq]` additive padding mask (`0` /
-/// `-1e9`), `rel` the optional `[heads*seq*seq]` relative bias — both
-/// runtime inputs, not plan state. `arena` must hold `plan.arena_len`
-/// elements; its contents are scratch and need not be zeroed.
+/// `cls` is the sequence position of each example's CLS token (its
+/// length is the batch), `mask` the optional `[batch*seq]` additive
+/// padding mask (`0` / `-1e9`), `rel` the optional `[heads*seq*seq]`
+/// relative bias — all runtime inputs, not plan state. `arena` must
+/// hold `plan.arena_len` elements; its contents are scratch and need
+/// not be zeroed.
 pub(crate) fn execute(
     plan: &Plan,
     model: &dyn GraphModel,
-    batch: usize,
     x: &mut [f32],
     mask: Option<&[f32]>,
     rel: Option<&[f32]>,
+    cls: &[usize],
     arena: &mut [f32],
 ) {
     let key = &plan.key;
+    let batch = cls.len();
     assert!(batch <= key.batch_cap, "batch exceeds the plan's envelope");
     assert!(arena.len() >= plan.arena_len, "arena too small for plan");
     let (t, d, h, inner) = (key.seq, key.hidden, key.heads, key.inner);
     let dh = key.head_dim();
-    let rows = batch * t;
-    debug_assert_eq!(x.len(), rows * d);
+    let tokens = batch * t;
+    assert_eq!(x.len(), tokens * d, "hidden states must be [batch*seq, d]");
+    assert!(
+        cls.iter().all(|&c| c < t),
+        "CLS position outside the sequence"
+    );
     let off = |b: VBuf| plan.spans[b.0].off;
     let inv = 1.0 / (dh as f32).sqrt();
 
     for layer in 0..key.layers {
-        for op in &plan.ops {
+        let ops = if layer + 1 == key.layers {
+            &plan.tail
+        } else {
+            &plan.ops
+        };
+        // The query rows the ops cover: every position of every example,
+        // until a `GatherCls` narrows the rest of the schedule to the one
+        // row at `only[bi]`. Keys and values always span the sequence.
+        let mut only: Option<&[usize]> = None;
+        for op in ops {
+            let per = if only.is_some() { 1 } else { t };
+            let first = move |bi: usize| only.map_or(0, |pos| pos[bi]);
+            let rows = batch * per;
             match *op {
                 Op::Linear {
                     slot,
@@ -118,10 +145,10 @@ pub(crate) fn execute(
                     let [qkv, q, kt, v] = views(
                         arena,
                         [
-                            (off(src), rows * 3 * d),
-                            (off(q), rows * d),
-                            (off(kt), rows * d),
-                            (off(v), rows * d),
+                            (off(src), tokens * 3 * d),
+                            (off(q), tokens * d),
+                            (off(kt), tokens * d),
+                            (off(v), tokens * d),
                         ],
                     );
                     for bi in 0..batch {
@@ -138,42 +165,56 @@ pub(crate) fn execute(
                         }
                     }
                 }
+                Op::GatherCls => {
+                    // Row `bi*t + cls[bi]` is never below row `bi`, so an
+                    // ascending in-place copy reads every source intact.
+                    for (bi, &c) in cls.iter().enumerate() {
+                        let src = (bi * t + c) * d;
+                        x.copy_within(src..src + d, bi * d);
+                    }
+                    only = Some(cls);
+                }
                 Op::AttnScores { q, kt, dst } => {
                     let [q, kt, scores] = views(
                         arena,
                         [
-                            (off(q), rows * d),
-                            (off(kt), rows * d),
-                            (off(dst), batch * h * t * t),
+                            (off(q), tokens * d),
+                            (off(kt), tokens * d),
+                            (off(dst), rows * h * t),
                         ],
                     );
-                    for g in 0..batch * h {
-                        gemm_nn(
-                            &q[g * t * dh..(g + 1) * t * dh],
-                            &kt[g * t * dh..(g + 1) * t * dh],
-                            None,
-                            &mut scores[g * t * t..(g + 1) * t * t],
-                            t,
-                            dh,
-                            t,
-                        );
+                    for bi in 0..batch {
+                        for hi in 0..h {
+                            let g = bi * h + hi;
+                            let q0 = (g * t + first(bi)) * dh;
+                            gemm_nn(
+                                &q[q0..q0 + per * dh],
+                                &kt[g * t * dh..(g + 1) * t * dh],
+                                None,
+                                &mut scores[g * per * t..(g + 1) * per * t],
+                                per,
+                                dh,
+                                t,
+                            );
+                        }
                     }
                 }
                 Op::Scale { dst } => {
-                    let [scores] = views(arena, [(off(dst), batch * h * t * t)]);
+                    let [scores] = views(arena, [(off(dst), rows * h * t)]);
                     for v in scores {
                         *v *= inv;
                     }
                 }
                 Op::AddRel { dst } => {
                     let rel = rel.expect("plan with relative bias needs rel input");
-                    let [scores] = views(arena, [(off(dst), batch * h * t * t)]);
+                    let [scores] = views(arena, [(off(dst), rows * h * t)]);
                     for bi in 0..batch {
                         for hi in 0..h {
-                            let base = (bi * h + hi) * t * t;
-                            for i in 0..t {
+                            let base = (bi * h + hi) * per * t;
+                            for i in 0..per {
                                 let srow = &mut scores[base + i * t..base + (i + 1) * t];
-                                let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
+                                let pos = hi * t + first(bi) + i;
+                                let brow = &rel[pos * t..(pos + 1) * t];
                                 for j in 0..t {
                                     srow[j] += brow[j];
                                 }
@@ -185,29 +226,26 @@ pub(crate) fn execute(
                     // Mask-free batches plan the op but skip it here, so
                     // masked and full batches share one plan.
                     if let Some(mask) = mask {
-                        let [scores] = views(arena, [(off(dst), batch * h * t * t)]);
+                        let [scores] = views(arena, [(off(dst), rows * h * t)]);
                         for bi in 0..batch {
                             let mrow = &mask[bi * t..(bi + 1) * t];
-                            for hi in 0..h {
-                                let base = (bi * h + hi) * t * t;
-                                for i in 0..t {
-                                    let srow = &mut scores[base + i * t..base + (i + 1) * t];
-                                    for j in 0..t {
-                                        srow[j] += mrow[j];
-                                    }
+                            let group = &mut scores[bi * h * per * t..(bi + 1) * h * per * t];
+                            for srow in group.chunks_exact_mut(t) {
+                                for j in 0..t {
+                                    srow[j] += mrow[j];
                                 }
                             }
                         }
                     }
                 }
                 Op::Softmax { dst } => {
-                    let [scores] = views(arena, [(off(dst), batch * h * t * t)]);
+                    let [scores] = views(arena, [(off(dst), rows * h * t)]);
                     softmax_rows(scores, t);
                 }
                 Op::FusedSoftmax { dst } => {
-                    let [scores] = views(arena, [(off(dst), batch * h * t * t)]);
+                    let [scores] = views(arena, [(off(dst), rows * h * t)]);
                     let rel = if key.has_rel { rel } else { None };
-                    attn_softmax_rows(scores, inv, rel, mask, batch, h, t);
+                    attn_softmax_rows(scores, inv, rel, mask, batch, h, t, only);
                 }
                 Op::AttnContext {
                     scores,
@@ -218,9 +256,9 @@ pub(crate) fn execute(
                     let [scores, v, tmp, merged] = views(
                         arena,
                         [
-                            (off(scores), batch * h * t * t),
-                            (off(v), rows * d),
-                            (off(tmp), t * dh),
+                            (off(scores), rows * h * t),
+                            (off(v), tokens * d),
+                            (off(tmp), per * dh),
                             (off(dst), rows * d),
                         ],
                     );
@@ -228,18 +266,17 @@ pub(crate) fn execute(
                         for hi in 0..h {
                             let g = bi * h + hi;
                             gemm_nn(
-                                &scores[g * t * t..(g + 1) * t * t],
+                                &scores[g * per * t..(g + 1) * per * t],
                                 &v[g * t * dh..(g + 1) * t * dh],
                                 None,
                                 tmp,
-                                t,
+                                per,
                                 t,
                                 dh,
                             );
-                            for ti in 0..t {
-                                merged[(bi * t + ti) * d + hi * dh
-                                    ..(bi * t + ti) * d + (hi + 1) * dh]
-                                    .copy_from_slice(&tmp[ti * dh..(ti + 1) * dh]);
+                            for i in 0..per {
+                                let row = (bi * per + i) * d + hi * dh;
+                                merged[row..row + dh].copy_from_slice(&tmp[i * dh..(i + 1) * dh]);
                             }
                         }
                     }
@@ -364,11 +401,21 @@ mod tests {
         }
     }
 
-    fn run(plan: &Plan, model: &TestModel, batch: usize, x: &mut [f32], masked: bool) {
+    /// Replay `plan` over a copy of the `[cls.len() * seq, d]` states
+    /// `x0` and return the whole buffer: the `[batch, d]` final CLS
+    /// states, then scratch.
+    fn run(plan: &Plan, model: &TestModel, x0: &[f32], cls: &[usize], masked: bool) -> Vec<f32> {
         let t = plan.key.seq;
+        // Two padded key positions that no test uses as a CLS position.
         let mask: Option<Vec<f32>> = masked.then(|| {
-            (0..batch * t)
-                .map(|i| if i % t >= t - 2 { -1e9 } else { 0.0 })
+            (0..cls.len() * t)
+                .map(|i| {
+                    if (t - 3..t - 1).contains(&(i % t)) {
+                        -1e9
+                    } else {
+                        0.0
+                    }
+                })
                 .collect()
         });
         let rel: Option<Vec<f32>> = plan.key.has_rel.then(|| {
@@ -377,16 +424,18 @@ mod tests {
                 .map(|v| v * 0.3)
                 .collect()
         });
+        let mut x = x0.to_vec();
         let mut arena = vec![0.0f32; plan.arena_len];
         execute(
             plan,
             model,
-            batch,
-            x,
+            &mut x,
             mask.as_deref(),
             rel.as_deref(),
+            cls,
             &mut arena,
         );
+        x
     }
 
     fn max_delta(a: &[f32], b: &[f32]) -> f32 {
@@ -412,13 +461,126 @@ mod tests {
             let x0 = pseudo(key.batch_cap * key.seq * key.hidden, 99);
             let fused = Plan::build(key);
             let unfused = Plan::build_with(key, false);
-            let mut xa = x0.clone();
-            let mut xb = x0.clone();
-            run(&fused, &model, key.batch_cap, &mut xa, masked);
-            run(&unfused, &model, key.batch_cap, &mut xb, masked);
+            let xa = run(&fused, &model, &x0, &[0, 5], masked);
+            let xb = run(&unfused, &model, &x0, &[0, 5], masked);
             // Same kernels, same element order: bitwise equal.
             assert_eq!(xa, xb, "rel={has_rel} masked={masked}");
         }
+    }
+
+    /// The tail's oracle is the body: replay the whole-sequence schedule
+    /// for the last layer too and read the CLS rows out of the full
+    /// hidden states.
+    #[test]
+    fn score_only_tail_matches_the_cls_rows_of_a_whole_last_layer() {
+        let (seq, d) = (6, 24);
+        for layers in [1, 3] {
+            let model = TestModel::new(layers, d, 48);
+            for (has_rel, masked) in [(false, false), (false, true), (true, false), (true, true)] {
+                let key = PlanKey {
+                    layers,
+                    hidden: d,
+                    heads: 3,
+                    inner: 48,
+                    has_rel,
+                    batch_cap: 4,
+                    seq,
+                };
+                let plan = Plan::build(key);
+                let mut whole = Plan::build(key);
+                whole.tail = whole.ops.clone();
+                // CLS first, CLS last, a different position per example;
+                // every batch is smaller than the plan's envelope.
+                for cls in [
+                    vec![0, 0, 0],
+                    vec![seq - 1; 3],
+                    vec![0, 2, seq - 1],
+                    vec![2],
+                ] {
+                    let x0 = pseudo(cls.len() * seq * d, 41);
+                    let got = run(&plan, &model, &x0, &cls, masked);
+                    let full = run(&whole, &model, &x0, &cls, masked);
+                    for (bi, &c) in cls.iter().enumerate() {
+                        let delta = max_delta(
+                            &got[bi * d..(bi + 1) * d],
+                            &full[(bi * seq + c) * d..(bi * seq + c + 1) * d],
+                        );
+                        assert!(
+                            delta <= 1e-6,
+                            "layers={layers} rel={has_rel} masked={masked} cls={cls:?}: {delta}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A [`GraphModel`] that records how many rows each row-wise call
+    /// covered instead of computing anything.
+    #[derive(Default)]
+    struct RowLog(std::cell::RefCell<Vec<(usize, &'static str, usize)>>);
+
+    impl GraphModel for RowLog {
+        fn linear(
+            &self,
+            layer: usize,
+            slot: LinSlot,
+            _: &[f32],
+            _: &mut [f32],
+            rows: usize,
+            _: Act,
+        ) {
+            let name = match slot {
+                LinSlot::Qkv => "qkv",
+                LinSlot::O => "o",
+                LinSlot::Fc1 => "fc1",
+                LinSlot::Fc2 => "fc2",
+            };
+            self.0.borrow_mut().push((layer, name, rows));
+        }
+
+        fn norm(&self, _: usize, _: NormSlot, _: &mut [f32]) {
+            unreachable!("fused plans issue residual_norm only");
+        }
+
+        fn residual_norm(&self, layer: usize, _: NormSlot, x: &mut [f32], add: &[f32]) {
+            assert_eq!(x.len(), add.len());
+            self.0.borrow_mut().push((layer, "norm", x.len()));
+        }
+    }
+
+    #[test]
+    fn only_the_last_layer_narrows_to_one_row_per_example() {
+        let key = PlanKey {
+            layers: 2,
+            hidden: 8,
+            heads: 2,
+            inner: 16,
+            has_rel: false,
+            batch_cap: 4,
+            seq: 5,
+        };
+        let (batch, d) = (3, key.hidden);
+        let tokens = batch * key.seq;
+        let plan = Plan::build(key);
+        let log = RowLog::default();
+        let mut x = vec![0.0; tokens * d];
+        let mut arena = vec![0.0; plan.arena_len];
+        execute(&plan, &log, &mut x, None, None, &[0, 4, 2], &mut arena);
+        let layer = |l: usize, rows: usize| {
+            [
+                (l, "qkv", tokens),
+                (l, "o", rows),
+                (l, "norm", rows * d),
+                (l, "fc1", rows),
+                (l, "fc2", rows),
+                (l, "norm", rows * d),
+            ]
+        };
+        assert_eq!(
+            *log.0.borrow(),
+            [layer(0, tokens), layer(1, batch)].concat()
+        );
     }
 
     #[test]
@@ -440,10 +602,8 @@ mod tests {
         let x0 = pseudo(3 * big.seq * big.hidden, 5);
         let plan_big = Plan::build(big);
         let plan_exact = Plan::build(exact);
-        let mut xa = x0.clone();
-        let mut xb = x0.clone();
-        run(&plan_big, &model, 3, &mut xa, true);
-        run(&plan_exact, &model, 3, &mut xb, true);
+        let xa = run(&plan_big, &model, &x0, &[0, 0, 0], true);
+        let xb = run(&plan_exact, &model, &x0, &[0, 0, 0], true);
         assert_eq!(max_delta(&xa, &xb), 0.0);
     }
 
@@ -463,6 +623,6 @@ mod tests {
         let plan = Plan::build(key);
         let mut x = vec![0.0; 2 * 4 * 8];
         let mut arena = vec![0.0; plan.arena_len];
-        execute(&plan, &model, 2, &mut x, None, None, &mut arena);
+        execute(&plan, &model, &mut x, None, None, &[0, 0], &mut arena);
     }
 }

@@ -89,6 +89,10 @@ pub(crate) enum Src {
 /// One traced (or fused) op of the encoder layer. The unfused set
 /// is one pass over memory per op; the planner rewrites
 /// chains of them into the `Fused*` / epilogue forms.
+///
+/// Ops do not carry a row count: replay runs each over every token of
+/// the batch until a [`Op::GatherCls`] narrows the rest of the schedule
+/// to one row per example.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     /// `dst = act(src · W[slot] + b[slot])` over `rows` rows.
@@ -136,6 +140,14 @@ pub(crate) enum Op {
     ResidualNorm { src: VBuf, slot: NormSlot },
     /// Elementwise GELU (fused into the producing GEMM by the planner).
     Gelu { dst: VBuf },
+    /// Compact the hidden states to their `[batch, d]` CLS rows. Every
+    /// later op of the schedule covers one row per example: attention
+    /// takes the CLS row of `q` as its only query (keys and values stay
+    /// whole), and the linears, residuals and norms run over `batch`
+    /// rows, each in a prefix of the buffer the whole-sequence op uses.
+    /// The planner inserts it into the last layer's schedule only — the
+    /// matcher reads nothing but the final CLS state.
+    GatherCls,
 }
 
 impl Op {
@@ -163,7 +175,7 @@ impl Op {
                 dst,
             } => vec![scores, v, tmp, dst],
             Op::Residual { src } | Op::ResidualNorm { src, .. } => vec![src],
-            Op::Norm { .. } => vec![],
+            Op::Norm { .. } | Op::GatherCls => vec![],
         }
     }
 
@@ -207,7 +219,7 @@ impl Op {
                 *dst = f(*dst);
             }
             Op::Residual { src } | Op::ResidualNorm { src, .. } => *src = f(*src),
-            Op::Norm { .. } => {}
+            Op::Norm { .. } | Op::GatherCls => {}
         }
         op
     }

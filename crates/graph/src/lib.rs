@@ -12,14 +12,20 @@
 //! 2. **Plan** — peephole-fuse elementwise chains into single-pass
 //!    kernels (GEMM+bias+GELU epilogue, scale+bias+mask+softmax,
 //!    residual+layer-norm), dedupe the structurally identical per-layer
-//!    subgraphs into one schedule replayed `L` times, and run liveness
-//!    analysis so every intermediate is an interval of one shared arena
-//!    ([`Plan::build`]).
-//! 3. **Replay** — execute the planned schedule against weights bound
-//!    through [`GraphModel`], binding f32/f16/int8 kernels per slot
+//!    subgraphs into one *body* schedule replayed for layers
+//!    `0..L − 1`, derive the last layer's *score-only tail* from it
+//!    (the same ops, narrowed to each example's CLS row once the keys
+//!    and values of every token exist — the matcher reads no other
+//!    final state), and run liveness analysis so every intermediate is
+//!    an interval of one shared arena ([`Plan::build`]).
+//! 3. **Replay** — execute body × `(L − 1)` then the tail against
+//!    weights bound through [`GraphModel`], binding f32/f16/int8
+//!    kernels per slot, and leave the `[batch, hidden]` CLS states
 //!    ([`GraphExecutor::run`]).
 //!
-//! Plans are pure geometry: no weights, no activations. A serving
+//! Plans are pure geometry: no weights, no activations — the padding
+//! mask, the relative bias and each example's CLS position are replay
+//! inputs. A serving
 //! worker holds a [`GraphExecutor`] whose plan cache is keyed by length
 //! bucket and whose arena is reused across batches, so steady-state
 //! serving does zero planning and zero allocation. Every fused kernel

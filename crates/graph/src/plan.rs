@@ -1,5 +1,16 @@
 //! Planning: fuse elementwise chains, dedupe identical layers into one
-//! schedule, and lay the schedule's buffers out in a shared arena.
+//! schedule, derive the last layer's score-only tail from it, and lay
+//! the schedule's buffers out in a shared arena.
+//!
+//! A plan holds two schedules over one buffer table. The *body* is the
+//! canonical layer, replayed for layers `0..layers − 1`. The *tail* is
+//! the same op list with one [`Op::GatherCls`] inserted after the head
+//! split, replayed once for the last layer: the matcher reads only the
+//! final CLS state, so the last layer still projects Q|K|V for every
+//! token (keys and values need them) but computes attention, the output
+//! projection, both norms and the feed-forward for the CLS row alone.
+//! The tail addresses the body's buffers and fills a prefix of each, so
+//! it adds nothing to the arena.
 
 use std::collections::HashMap;
 
@@ -9,13 +20,17 @@ use crate::arena::{allocate, Span};
 use crate::ir::{Op, PlanKey, VBuf};
 use crate::trace::trace;
 
-/// An executable plan: the canonical single-layer schedule (replayed
-/// `key.layers` times), the arena layout of its buffers, and the
-/// planning statistics the bench and the gauges report.
+/// An executable plan: the canonical layer schedule (replayed for all
+/// but the last layer), the score-only tail (replayed for the last),
+/// the arena layout of their shared buffers, and the planning
+/// statistics the bench and the gauges report.
 pub struct Plan {
     /// The geometry this plan was built for.
     pub key: PlanKey,
+    /// The body: one whole-sequence layer.
     pub(crate) ops: Vec<Op>,
+    /// The tail: `ops` narrowed to the CLS row after the head split.
+    pub(crate) tail: Vec<Op>,
     pub(crate) spans: Vec<Span>,
     /// Arena size in f32 elements — the only allocation the executor
     /// ever makes for intermediates, shared by all layers.
@@ -24,12 +39,14 @@ pub struct Plan {
     /// (the sum of per-op buffers without liveness sharing), in f32
     /// elements.
     pub scratch_len: usize,
-    /// Ops in one layer before fusion.
+    /// Ops the tracer records for one layer, before fusion (the tail's
+    /// gather is the planner's, not a traced op).
     pub traced_ops: usize,
-    /// Op dispatches eliminated per forward by fusion (summed over the
-    /// replayed layers).
+    /// Op dispatches eliminated per forward by fusion, summed over every
+    /// layer: the tail fuses the same chains as the body.
     pub fused_ops: usize,
-    /// Layers collapsed into the single canonical schedule.
+    /// Layers collapsed into the single canonical schedule — all of
+    /// them; the last replays it in its score-only form.
     pub deduped_layers: usize,
 }
 
@@ -43,8 +60,9 @@ impl Plan {
     /// replays the trace one pass per op and anchors the
     /// fused-vs-unfused equivalence tests.
     pub(crate) fn build_with(key: PlanKey, fuse_pass: bool) -> Plan {
+        assert!(key.layers > 0, "an encoder has at least one layer");
         let traced = trace(&key);
-        let traced_ops = traced.layer_ops.first().map_or(0, Vec::len);
+        let traced_ops = traced.layer_ops[0].len();
 
         // Fuse each layer's chain, then renumber each layer's buffers
         // in first-use order so structurally identical layers become
@@ -61,12 +79,13 @@ impl Plan {
                 ),
             }
         }
-        let (ops, sizes) = canon.unwrap_or_default();
+        let (ops, sizes) = canon.expect("at least one layer was traced");
         let fused_ops = (traced_ops - ops.len()) * key.layers;
 
         let layout = allocate(&ops, &sizes);
         let plan = Plan {
             key,
+            tail: score_only(&ops),
             ops,
             spans: layout.spans,
             arena_len: layout.arena_len,
@@ -159,6 +178,20 @@ fn fuse(ops: &[Op]) -> Vec<Op> {
         i += 1;
     }
     out
+}
+
+/// Derive the last layer's schedule from the canonical one. Through the
+/// head split it is unchanged — every key and value feeds the CLS row's
+/// attention; from there on only the CLS row reaches the pooler, so a
+/// [`Op::GatherCls`] narrows every later op to one row per example.
+fn score_only(ops: &[Op]) -> Vec<Op> {
+    let split = ops
+        .iter()
+        .position(|op| matches!(op, Op::SplitHeads { .. }))
+        .expect("a traced layer splits heads");
+    let mut tail = ops.to_vec();
+    tail.insert(split + 1, Op::GatherCls);
+    tail
 }
 
 /// Renumber a layer's virtual buffers densely in first-use order and
@@ -269,6 +302,37 @@ mod tests {
         assert_eq!(six.deduped_layers, 6);
         // Arena is per-layer state: more layers cost nothing.
         assert_eq!(two.arena_len, six.arena_len);
+    }
+
+    #[test]
+    fn tail_is_the_body_with_one_gather_after_the_head_split() {
+        for fuse_pass in [true, false] {
+            let plan = Plan::build_with(key(3, true), fuse_pass);
+            let split = plan
+                .ops
+                .iter()
+                .position(|op| matches!(op, Op::SplitHeads { .. }))
+                .unwrap();
+            // Everything up to the split covers every token; the gather
+            // comes before the first op that only feeds the CLS row.
+            assert_eq!(plan.tail[split + 1], Op::GatherCls);
+            assert!(matches!(plan.tail[split + 2], Op::AttnScores { .. }));
+            let mut rest = plan.tail.clone();
+            rest.remove(split + 1);
+            assert_eq!(rest, plan.ops);
+            assert!(!plan.ops.contains(&Op::GatherCls));
+        }
+    }
+
+    #[test]
+    fn tail_adds_nothing_to_the_arena_or_the_fusion_count() {
+        // The tail addresses the body's buffers, so the arena is the
+        // body's alone: 4608 floats is the layout of one whole-sequence
+        // layer at this key.
+        let plan = Plan::build(key(4, true));
+        assert_eq!(plan.arena_len, 4608);
+        assert_eq!(plan.fused_ops, (16 - 10) * 4);
+        assert_eq!(plan.deduped_layers, 4);
     }
 
     #[test]

@@ -105,13 +105,17 @@ pub fn softmax_rows(x: &mut [f32], d: usize) {
 
 /// Fused attention-score epilogue: scale by `1/√dh`, add the optional
 /// relative-position bias and the optional additive key mask, then
-/// softmax — one traversal of the `[b, h, t, t]` score tensor where the
-/// unfused ops make up to three (scores are the largest activation in
-/// the forward, so the saved passes are the fusion win). `rel` is the
-/// XLNet bias laid out `[h, t, t]`; `mask` is one additive entry per
-/// `(sample, key position)` (`[b, t]`). The per-element arithmetic and
-/// evaluation order match the unfused ops exactly, so fused and unfused
-/// scores agree bitwise.
+/// softmax — one traversal of the score tensor where the unfused ops
+/// make up to three (scores are the largest activation in the forward,
+/// so the saved passes are the fusion win). With `only: None` the tensor
+/// is `[b, h, t, t]`, every query position of every sample; with
+/// `only: Some(pos)` it is `[b, h, 1, t]`, the single query row at
+/// sequence position `pos[bi]` of sample `bi` (the row a CLS-only layer
+/// needs). `rel` is the XLNet bias laid out `[h, t, t]`; `mask` is one
+/// additive entry per `(sample, key position)` (`[b, t]`). The
+/// per-element arithmetic and evaluation order match the unfused ops
+/// exactly, so fused and unfused scores agree bitwise.
+#[allow(clippy::too_many_arguments)]
 pub fn attn_softmax_rows(
     scores: &mut [f32],
     scale: f32,
@@ -120,8 +124,10 @@ pub fn attn_softmax_rows(
     b: usize,
     h: usize,
     t: usize,
+    only: Option<&[usize]>,
 ) {
-    debug_assert_eq!(scores.len(), b * h * t * t);
+    let q = if only.is_some() { 1 } else { t };
+    debug_assert_eq!(scores.len(), b * h * q * t);
     if let Some(rel) = rel {
         debug_assert_eq!(rel.len(), h * t * t);
     }
@@ -130,19 +136,19 @@ pub fn attn_softmax_rows(
     }
     for bi in 0..b {
         let mrow = mask.map(|m| &m[bi * t..(bi + 1) * t]);
+        let first = only.map_or(0, |pos| pos[bi]);
         for hi in 0..h {
-            let base = (bi * h + hi) * t * t;
-            for i in 0..t {
+            let base = (bi * h + hi) * q * t;
+            for i in 0..q {
                 let srow = &mut scores[base + i * t..base + (i + 1) * t];
-                match (rel, mrow) {
-                    (Some(rel), Some(mrow)) => {
-                        let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
+                let brow = rel.map(|r| &r[(hi * t + first + i) * t..(hi * t + first + i + 1) * t]);
+                match (brow, mrow) {
+                    (Some(brow), Some(mrow)) => {
                         for j in 0..t {
                             srow[j] = srow[j] * scale + brow[j] + mrow[j];
                         }
                     }
-                    (Some(rel), None) => {
-                        let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
+                    (Some(brow), None) => {
                         for j in 0..t {
                             srow[j] = srow[j] * scale + brow[j];
                         }
@@ -506,10 +512,21 @@ mod tests {
             }
             softmax_rows(&mut want, t);
             let mut got = base.clone();
-            attn_softmax_rows(&mut got, scale, rel, mask, b, h, t);
+            attn_softmax_rows(&mut got, scale, rel, mask, b, h, t, None);
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-6, "{g} vs {w}");
             }
+            // One query row per sample: bitwise the same row of the
+            // full tensor, whichever position is asked for.
+            let pos = [t - 1, 1];
+            let row = |src: &[f32], bi: usize, hi: usize| {
+                let o = ((bi * h + hi) * t + pos[bi]) * t;
+                src[o..o + t].to_vec()
+            };
+            let mut one: Vec<f32> = (0..b * h).flat_map(|g| row(&base, g / h, g % h)).collect();
+            attn_softmax_rows(&mut one, scale, rel, mask, b, h, t, Some(&pos));
+            let full: Vec<f32> = (0..b * h).flat_map(|g| row(&got, g / h, g % h)).collect();
+            assert_eq!(one, full);
         }
     }
 

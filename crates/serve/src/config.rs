@@ -8,17 +8,14 @@ use std::time::Duration;
 /// Tuning knobs for the concurrent micro-batching matcher.
 ///
 /// `Default` gives a sensible local setup (2 workers, batches of up to
-/// 32 coalesced for at most 2 ms); use [`ServeConfig::builder`] for a
-/// validated custom configuration.
+/// 32 formed from whatever is already queued); use
+/// [`ServeConfig::builder`] for a validated custom configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of scoring worker threads.
     pub workers: usize,
     /// Maximum number of requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long a worker waits for more requests before flushing a
-    /// partially filled batch.
-    pub max_wait: Duration,
     /// Bounded request-queue capacity; enqueueing blocks (backpressure)
     /// once this many requests are waiting.
     pub queue_depth: usize,
@@ -75,7 +72,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_depth: 256,
             cache_capacity: 1024,
             cache_shards: 0,
@@ -99,7 +95,6 @@ impl ServeConfig {
     /// let cfg = ServeConfig::builder()
     ///     .workers(4)
     ///     .max_batch(16)
-    ///     .max_wait_ms(1)
     ///     .build()
     ///     .unwrap();
     /// assert_eq!(cfg.workers, 4);
@@ -248,12 +243,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Batch-coalescing wait in milliseconds.
-    pub fn max_wait_ms(mut self, ms: u64) -> Self {
-        self.cfg.max_wait = Duration::from_millis(ms);
-        self
-    }
-
     /// Bounded queue capacity (must be ≥ 1).
     pub fn queue_depth(mut self, n: usize) -> Self {
         self.cfg.queue_depth = n;
@@ -341,13 +330,6 @@ impl ServeConfigBuilder {
         }
         if c.request_timeout.is_zero() {
             return Err("request_timeout must be non-zero".into());
-        }
-        if c.request_timeout <= c.max_wait {
-            return Err(format!(
-                "request_timeout ({:?}) must exceed max_wait ({:?}) or every \
-                 coalesced request can time out while its batch is still filling",
-                c.request_timeout, c.max_wait
-            ));
         }
         if c.bucket_capacity_cap != 0 && c.bucket_capacity_cap < c.max_batch {
             return Err(format!(
@@ -554,12 +536,6 @@ mod tests {
         assert!(ServeConfig::builder().queue_depth(0).build().is_err());
         assert!(ServeConfig::builder()
             .request_timeout_ms(0)
-            .build()
-            .is_err());
-        // Timeout shorter than the coalescing wait is a foot-gun.
-        assert!(ServeConfig::builder()
-            .max_wait_ms(50)
-            .request_timeout_ms(10)
             .build()
             .is_err());
         // A bucket cap below max_batch would shrink even full-length batches.

@@ -5,10 +5,13 @@
 //! serving worker owns one, and [`FrozenMatcher::score_encodings`] keeps
 //! one per calling thread. It scores through `em-graph`: the encoder
 //! stack is traced and planned once per (architecture, length-bucket)
-//! geometry, then every later batch replays the cached schedule — fused
-//! kernels, one shared arena, zero allocation at steady state. The
-//! head-side buffers (hidden states, mask, CLS gather, pooled, logits)
-//! live here and are reused the same way.
+//! geometry, then every later batch replays the cached plan — the body
+//! schedule for all but the last layer and the score-only tail for the
+//! last, which narrows to each example's CLS row (a replay input, like
+//! the mask) once its keys and values exist, because the pooler reads
+//! nothing else. Fused kernels, one shared arena, zero allocation at
+//! steady state. The head-side buffers (hidden states, mask, pooled,
+//! logits) live here and are reused the same way.
 
 use std::sync::Arc;
 
@@ -102,7 +105,6 @@ pub struct Executor {
     batch_cap: usize,
     x: Vec<f32>,
     mask: Vec<f32>,
-    cls: Vec<f32>,
     pooled: Vec<f32>,
     logits: Vec<f32>,
 }
@@ -115,7 +117,6 @@ impl Executor {
             batch_cap: 0,
             x: Vec::new(),
             mask: Vec::new(),
-            cls: Vec::new(),
             pooled: Vec::new(),
             logits: Vec::new(),
         }
@@ -137,9 +138,10 @@ impl Executor {
         self.graph.take_counts()
     }
 
-    /// Encode `batch` into flat `[b*t, hidden]` states held in the
-    /// executor's workspace. At steady state (geometry seen before,
-    /// workspace grown) this performs no allocation.
+    /// Encode `batch` into its flat `[b, hidden]` final CLS states —
+    /// the only hidden states the matcher reads — held in the executor's
+    /// workspace. At steady state (geometry seen before, workspace
+    /// grown) this performs no allocation.
     pub fn forward_hidden(&mut self, model: &FrozenModel, batch: &Batch) -> &[f32] {
         let b = batch.len();
         let t = batch.seq_len();
@@ -151,27 +153,27 @@ impl Executor {
         let rel: Option<Arc<Vec<f32>>> = model.relative.as_ref().map(|r| r.bias_flat(t));
         let rel = rel.as_ref().map(|r| r.as_slice());
         let key = plan_key(model, b.max(self.batch_cap), t);
-        self.graph
-            .run(key, model, b, &mut self.x[..b * t * d], mask, rel);
-        &self.x[..b * t * d]
+        self.graph.run(
+            key,
+            model,
+            &mut self.x[..b * t * d],
+            mask,
+            rel,
+            &batch.cls_index,
+        );
+        &self.x[..b * d]
     }
 
     /// Match logits `[b, 2]` for one batch, held in the executor's
     /// workspace.
     pub fn logits(&mut self, matcher: &FrozenMatcher, batch: &Batch) -> &[f32] {
         let b = batch.len();
-        let t = batch.seq_len();
         let d = matcher.model.config.hidden;
         self.forward_hidden(&matcher.model, batch);
-        // CLS gather → pooler (+tanh, as autograd's pooled_states) → head.
-        self.cls.resize(b * d, 0.0);
-        for (i, &c) in batch.cls_index.iter().enumerate() {
-            let off = (i * t + c) * d;
-            self.cls[i * d..(i + 1) * d].copy_from_slice(&self.x[off..off + d]);
-        }
+        // CLS states → pooler (+tanh, as autograd's pooled_states) → head.
         self.pooled.resize(b * d, 0.0);
         matcher.model.pooler.forward_flat(
-            &self.cls[..b * d],
+            &self.x[..b * d],
             &mut self.pooled[..b * d],
             b,
             Act::None,

@@ -23,8 +23,9 @@
 //!    ([`ServeMatcher::with_fallback`]).
 //! 4. **The forward** ([`Executor`], backed by `em-graph`): the frozen
 //!    forward is traced + planned once per length-bucket geometry (fused
-//!    kernels, one arena allocation, per-thread plan cache) and the
-//!    schedule replayed for every later batch. It reproduces the
+//!    kernels, one arena allocation, per-thread plan cache, a last
+//!    layer that computes only the CLS row the matcher reads) and the
+//!    plan replayed for every later batch. It reproduces the
 //!    autograd logits to within 1e-5 on all four architectures (BERT,
 //!    XLNet, RoBERTa, DistilBERT) and is the only way this crate scores.
 //!

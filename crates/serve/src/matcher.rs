@@ -1,10 +1,11 @@
 //! The concurrent micro-batching matcher.
 //!
-//! Clients submit single encodings; worker threads coalesce them into
-//! batches (waiting at most `max_wait` for stragglers) so the gemm-heavy
-//! forward pass amortizes across requests. Batches are **length-bucketed**:
-//! a request only shares a batch with requests of the same rounded length,
-//! so dynamic padding never inflates a short request to a long neighbor's
+//! Clients submit single encodings; worker threads coalesce the ones
+//! already waiting into batches — never idling to wait for more, so a
+//! lone request runs at once and whatever arrives during a forward pass
+//! forms the next batch. Batches are **length-bucketed**: a request
+//! only shares a batch with requests of the same rounded length, so
+//! dynamic padding never inflates a short request to a long neighbor's
 //! length, and short buckets may hold more than `max_batch` examples under
 //! the same `max_batch × max_len` token budget (see
 //! [`ServeConfig::bucket_capacity`]). The request queue is bounded — a
@@ -50,9 +51,9 @@ pub(crate) struct Job {
     /// caches under *that* version, not whatever was current at submit
     /// time, so a hot-swap racing a request can never poison the cache.
     pub(crate) resp: mpsc::Sender<Result<(f32, u64), ServeError>>,
-    /// Lifecycle timestamps: `trace.enqueued` bounds how long the job can
-    /// sit in a worker's pending bucket waiting for length-compatible
-    /// company, and the rest feed the per-stage latency histograms.
+    /// Lifecycle timestamps: `trace.enqueued` orders a worker's stashed
+    /// buckets oldest first, and the rest feed the per-stage latency
+    /// histograms.
     pub(crate) trace: RequestTrace,
     /// How many times this job has been recovered from a dead worker;
     /// past [`ServeConfig::max_requeues`] the supervisor fails it instead

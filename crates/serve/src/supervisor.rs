@@ -29,7 +29,7 @@ use crate::executor::{ExecBackend, Executor};
 use crate::fault::{Fault, InjectedFault};
 use crate::matcher::{Job, ModelCell, StatsInner};
 use crate::trace::BatchTiming;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use em_tokenizers::Encoding;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -54,8 +54,8 @@ pub(crate) struct PoolCtx {
 }
 
 /// The jobs one worker currently owns: its in-flight batch plus the
-/// per-bucket stash of length-incompatible arrivals seen while
-/// coalescing. Everything in here survives the worker's death.
+/// per-bucket stash of length-incompatible arrivals it met while
+/// forming batches. Everything in here survives the worker's death.
 #[derive(Default)]
 pub(crate) struct Held {
     inflight: Vec<Job>,
@@ -223,10 +223,14 @@ fn supervise(ctx: Arc<PoolCtx>) {
     }
 }
 
-/// The scoring loop: coalesce length-compatible requests into batches,
-/// score them, reply. Identical batching policy to the pre-supervision
-/// matcher; the difference is that every job the worker owns lives in
-/// its slot while any panic-capable code runs.
+/// The scoring loop: form a batch from the length-compatible requests
+/// that are already waiting, score it, reply. Batch formation is
+/// work-conserving — the worker never idles while it holds a request:
+/// a lone request runs alone at once, and what arrives during a forward
+/// is the next batch. (The per-pair forward cost is flat in batch size
+/// on these kernels, so waiting for company buys no throughput.) Every
+/// job the worker owns lives in its slot while any panic-capable code
+/// runs.
 fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
     if ctx.serialize_kernels {
         em_kernels::pool::serialize_current_thread();
@@ -274,7 +278,6 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
         head.trace.mark_picked();
         let bucket = head.bucket(width, max_len);
         let capacity = cfg.bucket_capacity(max_len, bucket);
-        let deadline = head.trace.enqueued + cfg.max_wait;
         let mut jobs = vec![head];
         // Same-bucket stragglers from earlier rounds first…
         {
@@ -291,10 +294,10 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
                 }
             }
         }
-        // …then the live queue until the head's deadline, stashing
-        // length-incompatible arrivals in the slot.
+        // …then whatever the live queue already holds, without waiting,
+        // stashing length-incompatible arrivals in the slot.
         while jobs.len() < capacity && !disconnected {
-            match ctx.rx.recv_deadline(deadline) {
+            match ctx.rx.try_recv() {
                 Ok(mut job) if job.bucket(width, max_len) == bucket => {
                     job.trace.mark_picked();
                     jobs.push(job);
@@ -303,8 +306,8 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
                     let b = job.bucket(width, max_len);
                     lock(slot).pending.entry(b).or_default().push_back(job);
                 }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => disconnected = true,
             }
         }
         let _span = em_obs::span!("serve/batch");

@@ -10,7 +10,7 @@
 //! | histogram          | stage                                           |
 //! |--------------------|-------------------------------------------------|
 //! | `serve/queue_wait` | enqueued → picked into a batch                  |
-//! | `serve/batch_wait` | picked → forward pass starts (coalescing wait)  |
+//! | `serve/batch_wait` | picked → forward pass starts (≈ 0: no waiting)  |
 //! | `serve/forward`    | the batch's forward pass (recorded per batch)   |
 //! | `serve/e2e`        | enqueued → score handed to the reply channel    |
 //!
@@ -22,17 +22,17 @@
 //! [`em_obs::drain_events`].
 //!
 //! All capture is gated on [`em_obs::enabled`]: with `EM_OBS=0` the
-//! trace never reads the clock beyond the `enqueued` stamp the batching
-//! deadline already needs.
+//! trace never reads the clock beyond the `enqueued` stamp the worker's
+//! oldest-first pick already needs.
 
 use std::time::{Duration, Instant};
 
 /// Stage timestamps carried by one request through the matcher.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RequestTrace {
-    /// When the request entered the queue. Always stamped — the batch
-    /// coalescing deadline and the supervisor's oldest-first recovery
-    /// order both need it regardless of observability.
+    /// When the request entered the queue. Always stamped — the
+    /// worker's oldest-first pick among its stashed buckets needs it
+    /// regardless of observability.
     pub(crate) enqueued: Instant,
     /// When a worker pulled the request into a forming batch. Only
     /// stamped while observability is enabled.

@@ -83,18 +83,24 @@ fn autograd_logits(
     })
 }
 
-/// Frozen logits vs autograd within 1e-5 on a ragged batch.
+const MAX_LEN: usize = 24;
+
+/// Frozen logits vs autograd within 1e-5 on a random ragged batch.
 fn assert_graph_matches_autograd(arch: Architecture, seed: u64) {
-    let (model, head) = tiny_model(arch, seed);
-    let max_len = 24;
-    let corpus = em_data::generate_corpus(30, seed);
-    let tok = train_tokenizer(arch, &corpus, 200);
-    let matcher = freeze_parts(&model, &head, tok, max_len);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(47).wrapping_add(13));
     let encodings: Vec<Encoding> = (0..4)
-        .map(|_| random_encoding(&mut rng, arch, max_len))
+        .map(|_| random_encoding(&mut rng, arch, MAX_LEN))
         .collect();
-    let batch = Batch::from_encodings(&encodings);
+    assert_logits_match_autograd(arch, seed, &encodings);
+}
+
+/// Frozen logits vs autograd within 1e-5 on `encodings` as one batch.
+fn assert_logits_match_autograd(arch: Architecture, seed: u64, encodings: &[Encoding]) {
+    let (model, head) = tiny_model(arch, seed);
+    let corpus = em_data::generate_corpus(30, seed);
+    let tok = train_tokenizer(arch, &corpus, 200);
+    let matcher = freeze_parts(&model, &head, tok, MAX_LEN);
+    let batch = Batch::from_encodings(encodings);
     let want = autograd_logits(&model, &head, &batch);
     let mut exec = Executor::new(ExecBackend::Graph);
     let got = exec.logits(&matcher, &batch);
@@ -119,6 +125,17 @@ proptest! {
     #[test]
     fn graph_matches_autograd_xlnet(seed in 0u64..10_000) {
         assert_graph_matches_autograd(Architecture::Xlnet, seed);
+        // XLNet's CLS is the last real token, so in a batch of four
+        // different lengths the score-only last layer reads a different
+        // row — and a different row of the relative bias — per example.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc15);
+        let ragged: Vec<Encoding> = [5, MAX_LEN, 11, 17]
+            .iter()
+            .map(|&len| fixed_len_encoding(&mut rng, Architecture::Xlnet, len))
+            .collect();
+        let cls: Vec<usize> = ragged.iter().map(|e| e.cls_index).collect();
+        prop_assert_eq!(cls, vec![4, MAX_LEN - 1, 10, 16]);
+        assert_logits_match_autograd(Architecture::Xlnet, seed, &ragged);
     }
 
     #[test]

@@ -210,7 +210,6 @@ fn concurrent_scores_match_sequential_exactly() {
     let cfg = ServeConfig::builder()
         .workers(2)
         .max_batch(8)
-        .max_wait_ms(2)
         .cache_capacity(0) // exercise the queue for every request
         .build()
         .unwrap();
@@ -293,7 +292,6 @@ fn short_buckets_coalesce_past_max_batch() {
     let cfg = ServeConfig::builder()
         .workers(1)
         .max_batch(4)
-        .max_wait_ms(5)
         .cache_capacity(0)
         .build()
         .unwrap();
@@ -317,6 +315,71 @@ fn short_buckets_coalesce_past_max_batch() {
     assert!(stats.batch_fill() > 0.0 && stats.batch_fill() <= 1.0);
 }
 
+/// Work-conserving batch formation: a worker never idles while it holds
+/// a request. A lone request on an idle worker runs as a batch of one,
+/// and the requests that queue up behind a slow batch ride together in
+/// the next one. The slow batch is a long request held by an injected
+/// delay; the queued requests are short, so — whenever they arrive
+/// relative to the worker's pick — they cannot join it.
+#[test]
+fn worker_runs_what_is_queued_without_waiting_for_more() {
+    let max_len = 32;
+    let arch = Architecture::Bert;
+    let frozen = tiny_frozen_matcher(arch, 61, max_len);
+    let reference = frozen.clone();
+    let sequential = |e: &Encoding| reference.score_encodings(std::slice::from_ref(e))[0];
+    // A schedule that delays batch 1 and leaves batches 0 and 2 alone.
+    let plan = (0..)
+        .map(|seed| FaultPlan {
+            seed,
+            delay_every: 2,
+            delay: std::time::Duration::from_millis(300),
+            ..FaultPlan::default()
+        })
+        .find(|p| {
+            p.fault_for(0).is_none()
+                && matches!(p.fault_for(1), Some(Fault::Delay(_)))
+                && p.fault_for(2).is_none()
+        })
+        .unwrap();
+    let cfg = ServeConfig::builder()
+        .workers(1)
+        .max_batch(4)
+        .cache_capacity(0)
+        .fault(plan)
+        .build()
+        .unwrap();
+    let queued = 10;
+    assert!(queued <= cfg.bucket_capacity(max_len, 8));
+    let matcher = ServeMatcher::start(frozen, cfg);
+    let mut rng = StdRng::seed_from_u64(83);
+
+    let lone = random_encoding(&mut rng, arch, 8);
+    assert_eq!(matcher.score(&lone).unwrap(), sequential(&lone));
+    let stats = matcher.stats();
+    assert_eq!((stats.batches, stats.examples), (1, 1));
+
+    let long = long_encoding(&mut rng, arch, max_len);
+    let shorts: Vec<Encoding> = (0..queued)
+        .map(|_| random_encoding(&mut rng, arch, 8))
+        .collect();
+    let slow = matcher.submit_encoding(long.clone()).unwrap();
+    let tickets: Vec<_> = shorts
+        .iter()
+        .map(|e| matcher.submit_encoding(e.clone()).unwrap())
+        .collect();
+    assert_eq!(matcher.redeem(slow).unwrap(), sequential(&long));
+    for (ticket, e) in tickets.into_iter().zip(&shorts) {
+        assert_eq!(matcher.redeem(ticket).unwrap(), sequential(e));
+    }
+    let stats = matcher.stats();
+    assert_eq!(
+        (stats.batches, stats.examples),
+        (3, 2 + queued as u64),
+        "the queue that built up behind the slow batch rides in one batch"
+    );
+}
+
 /// Mixed-length traffic: jobs batch only with length-compatible company,
 /// and every request still gets exactly its sequential score.
 #[test]
@@ -327,7 +390,6 @@ fn mixed_length_requests_are_served_correctly() {
     let cfg = ServeConfig::builder()
         .workers(2)
         .max_batch(4)
-        .max_wait_ms(2)
         .cache_capacity(0)
         .build()
         .unwrap();
@@ -620,7 +682,6 @@ fn supervisor_recovers_panicked_workers_without_losing_requests() {
     let cfg = ServeConfig::builder()
         .workers(2)
         .max_batch(2)
-        .max_wait_ms(1)
         .cache_capacity(0)
         .max_requeues(16)
         .fault(plan)
@@ -666,7 +727,6 @@ proptest! {
         let cfg = ServeConfig::builder()
             .workers(2)
             .max_batch(4)
-            .max_wait_ms(1)
             .cache_capacity(0)
             .request_timeout_ms(5_000)
             .fault(plan)
