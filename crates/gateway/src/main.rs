@@ -19,7 +19,8 @@
 //! to gateway behavior (routing, batching, deadlines, shedding).
 //!
 //! `--checkpoint` serves an `em-checkpoint` file instead (mmap-loaded,
-//! zero-copy; the tokenizer is still built in-process and validated
+//! zero-copy but for int8 weights, which are repacked once for the
+//! kernel; the tokenizer is still built in-process and validated
 //! against the file). `--quant` re-quantizes whatever model is being
 //! served (`f32`, `f16`, or `int8`); without it a checkpoint serves in
 //! the representation it was saved in. A live gateway can also be

@@ -15,6 +15,12 @@
 //! actual batch `b ≤ batch_cap`, and the tail any one row per example:
 //! every batched buffer is row-major with the batch index outermost, so
 //! the live data is a prefix of each arena span.
+//!
+//! At `EM_OBS=2` replay times every op into a `graph/op/<kind>`
+//! histogram (linears per weight slot), which is where the forward's
+//! time goes, op by op and in place.
+
+use std::time::Instant;
 
 use em_kernels::{attn_softmax_rows, gelu, gemm_nn, softmax_rows, Act};
 
@@ -101,6 +107,10 @@ pub(crate) fn execute(
     );
     let off = |b: VBuf| plan.spans[b.0].off;
     let inv = 1.0 / (dh as f32).sqrt();
+    // Per-op wall time into `graph/op/<kind>` histograms at `EM_OBS=2`
+    // only; below that no clock is read. Recording into an existing
+    // histogram allocates nothing, so replay stays allocation-free.
+    let timed = em_obs::level() >= em_obs::LEVEL_EVENTS;
 
     for layer in 0..key.layers {
         let ops = if layer + 1 == key.layers {
@@ -113,6 +123,7 @@ pub(crate) fn execute(
         // row at `only[bi]`. Keys and values always span the sequence.
         let mut only: Option<&[usize]> = None;
         for op in ops {
+            let start = timed.then(Instant::now);
             let per = if only.is_some() { 1 } else { t };
             let first = move |bi: usize| only.map_or(0, |pos| pos[bi]);
             let rows = batch * per;
@@ -298,6 +309,9 @@ pub(crate) fn execute(
                     let [ffn1] = views(arena, [(off(dst), rows * inner)]);
                     gelu(ffn1);
                 }
+            }
+            if let Some(start) = start {
+                em_obs::histogram_record(op.histogram(), start.elapsed().as_secs_f64());
             }
         }
     }

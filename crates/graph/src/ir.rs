@@ -151,6 +151,33 @@ pub(crate) enum Op {
 }
 
 impl Op {
+    /// The `graph/op/<kind>` histogram replay records this op's wall
+    /// time into at `EM_OBS=2`. Linears are one kind per weight slot, so
+    /// the four GEMMs of a layer (FC1 with its fused GELU) read apart.
+    pub(crate) fn histogram(&self) -> &'static str {
+        match *self {
+            Op::Linear { slot, .. } => match slot {
+                LinSlot::Qkv => "graph/op/linear_qkv",
+                LinSlot::O => "graph/op/linear_o",
+                LinSlot::Fc1 => "graph/op/linear_fc1",
+                LinSlot::Fc2 => "graph/op/linear_fc2",
+            },
+            Op::SplitHeads { .. } => "graph/op/split_heads",
+            Op::AttnScores { .. } => "graph/op/attn_scores",
+            Op::Scale { .. } => "graph/op/scale",
+            Op::AddRel { .. } => "graph/op/add_rel",
+            Op::AddMask { .. } => "graph/op/add_mask",
+            Op::Softmax { .. } => "graph/op/softmax",
+            Op::FusedSoftmax { .. } => "graph/op/fused_softmax",
+            Op::AttnContext { .. } => "graph/op/attn_context",
+            Op::Residual { .. } => "graph/op/residual",
+            Op::Norm { .. } => "graph/op/norm",
+            Op::ResidualNorm { .. } => "graph/op/residual_norm",
+            Op::Gelu { .. } => "graph/op/gelu",
+            Op::GatherCls => "graph/op/gather_cls",
+        }
+    }
+
     /// Every virtual buffer the op touches (reads or writes), for
     /// liveness analysis. The hidden-state buffer is external and
     /// always live, so it is not tracked.

@@ -14,6 +14,7 @@
 //! consumes them directly for the frozen forward pass.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod gemm;
 pub mod math;
@@ -28,6 +29,5 @@ pub use math::{
 };
 pub use qgemm::{
     dequantize_rows_i8, f16_dequantize, f16_quantize, f16_to_f32, f32_to_f16, gemm_nn_f16,
-    gemm_nn_f16_act, gemm_nt_i8, gemm_nt_i8_act, gemm_nt_i8_dyn, gemm_nt_i8_dyn_act,
-    quantize_rows_i8, quantize_weights_i8,
+    gemm_nn_f16_act, gemm_nt_i8_dyn, gemm_packed_i8, quantize_weights_i8, PackedI8,
 };

@@ -2,11 +2,18 @@
 //!
 //! The transcendental core is a polynomial `exp` (Cephes `expf`
 //! coefficients, ~2 ulp on the float32 range) and a `tanh` built on it —
-//! no libm call per element, and both autovectorize. On top of those sit
-//! fused row kernels for softmax, GELU and layer norm in *forward and
-//! backward* form, so the autograd tape runs the same arithmetic the
-//! frozen serving path does instead of composing each op from
-//! half-a-dozen temporary arrays.
+//! no libm call per element. On top of those sit fused row kernels for
+//! softmax, GELU and layer norm in *forward and backward* form, so the
+//! autograd tape runs the same arithmetic the frozen serving path does
+//! instead of composing each op from half-a-dozen temporary arrays.
+//!
+//! The scalar `exp` does not autovectorize (the crate builds for
+//! baseline x86-64), so the two forward hot loops — [`gelu`] and the exp
+//! pass of the softmax rows — carry an 8-lane AVX2 twin behind the same
+//! runtime dispatch as the GEMMs. The twin evaluates the scalar
+//! expression op for op (same clamp, same round-to-integer trick, no FMA
+//! contraction, exact division), so both paths agree bit for bit on
+//! every input, NaN and ±inf included.
 
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 const LN2_HI: f32 = 0.693_359_4;
@@ -17,20 +24,32 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 /// sqrt(2/pi) in the tanh-approximation GELU.
 const GELU_C: f32 = 0.797_884_6;
 
+/// `exp` argument clamp: the upper bound keeps the 2^n scale factor a
+/// finite exponent (n <= 127).
+const EXP_LO: f32 = -87.336_55;
+const EXP_HI: f32 = 88.02;
+/// Cephes `expf` polynomial, highest order first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    5.000_000_3e-1,
+];
+const GELU_CUBIC: f32 = 0.044715;
+
 /// Polynomial `e^x` (Cephes `expf` coefficients, ~2 ulp on the float32
-/// range). No libm call, autovectorizable.
+/// range). No libm call.
 #[inline]
 pub fn exp_approx(x: f32) -> f32 {
-    // Upper clamp keeps the 2^n scale factor a finite exponent (n <= 127).
-    let x = x.clamp(-87.336_55, 88.02);
+    let x = x.clamp(EXP_LO, EXP_HI);
     let nf = (x * LOG2E + ROUND_MAGIC) - ROUND_MAGIC;
     let r = (x - nf * LN2_HI) - nf * LN2_LO;
-    let p = 1.987_569_1e-4;
-    let p = p * r + 1.398_199_9e-3;
-    let p = p * r + 8.333_452e-3;
-    let p = p * r + 4.166_579_6e-2;
-    let p = p * r + 1.666_666_5e-1;
-    let p = p * r + 5.000_000_3e-1;
+    let mut p = EXP_POLY[0];
+    for c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
     let y = (p * r) * r + r + 1.0;
     let scale = f32::from_bits(((nf as i32 + 127) as u32) << 23);
     y * scale
@@ -81,7 +100,13 @@ fn sum_lanes(row: &[f32]) -> f32 {
 #[inline]
 fn softmax_row(row: &mut [f32]) {
     let m = max_lanes(row);
-    for v in row.iter_mut() {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::gemm::simd_available() {
+        // SAFETY: AVX2 was detected at runtime.
+        done = unsafe { avx2::exp_shifted(row, m) };
+    }
+    for v in &mut row[done..] {
         *v = exp_approx(*v - m);
     }
     let inv = 1.0 / sum_lanes(row);
@@ -187,14 +212,7 @@ pub fn softmax_rows_biased(x: &mut [f32], bias: &[f32], d: usize, rows_per_bias:
         for (v, &bv) in row.iter_mut().zip(b_row) {
             *v += bv;
         }
-        let m = max_lanes(row);
-        for v in row.iter_mut() {
-            *v = exp_approx(*v - m);
-        }
-        let inv = 1.0 / sum_lanes(row);
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        softmax_row(row);
     }
 }
 
@@ -260,9 +278,114 @@ pub fn log_softmax_rows(x: &mut [f32], d: usize) {
 /// In-place GELU, tanh approximation — the formula of
 /// `em_tensor::gelu_array` with the polynomial `tanh`.
 pub fn gelu(x: &mut [f32]) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::gemm::simd_available() {
+        // SAFETY: AVX2 was detected at runtime.
+        done = unsafe { avx2::gelu(x) };
+    }
+    gelu_scalar(&mut x[done..]);
+}
+
+fn gelu_scalar(x: &mut [f32]) {
     for v in x.iter_mut() {
         let u = *v;
-        *v = 0.5 * u * (1.0 + tanh_approx(GELU_C * (u + 0.044715 * u * u * u)));
+        *v = 0.5 * u * (1.0 + tanh_approx(GELU_C * (u + GELU_CUBIC * u * u * u)));
+    }
+}
+
+/// The 8-lane AVX2 twins of [`exp_approx`], [`tanh_approx`] and the GELU
+/// formula: every scalar operation in the same order on the same
+/// operands, as separate multiplies and adds, so each lane is
+/// bit-identical to the scalar result.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{EXP_HI, EXP_LO, EXP_POLY, GELU_C, GELU_CUBIC, LN2_HI, LN2_LO, LOG2E, ROUND_MAGIC};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn splat(v: f32) -> __m256 {
+        _mm256_set1_ps(v)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn exp8(x: __m256) -> __m256 {
+        // `vmaxps`/`vminps` return their second operand when either is
+        // NaN, so with `x` second a NaN propagates exactly as through
+        // `f32::clamp`.
+        let x = _mm256_min_ps(splat(EXP_HI), _mm256_max_ps(splat(EXP_LO), x));
+        let magic = splat(ROUND_MAGIC);
+        let nf = _mm256_sub_ps(_mm256_add_ps(_mm256_mul_ps(x, splat(LOG2E)), magic), magic);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(nf, splat(LN2_HI))),
+            _mm256_mul_ps(nf, splat(LN2_LO)),
+        );
+        let mut p = splat(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), splat(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, r), r), r),
+            splat(1.0),
+        );
+        // `nf` is integral in [-126, 127] for every non-NaN lane; a NaN
+        // lane's scale is irrelevant because `y` is already NaN.
+        let n = _mm256_add_epi32(_mm256_cvttps_epi32(nf), _mm256_set1_epi32(127));
+        _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(n)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn tanh8(y: __m256) -> __m256 {
+        let sign = splat(-0.0);
+        let e = exp8(_mm256_mul_ps(splat(-2.0), _mm256_andnot_ps(sign, y)));
+        let one = splat(1.0);
+        let t = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+        _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, y))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gelu8(u: __m256) -> __m256 {
+        let cubic = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(splat(GELU_CUBIC), u), u), u);
+        let t = tanh8(_mm256_mul_ps(splat(GELU_C), _mm256_add_ps(u, cubic)));
+        _mm256_mul_ps(_mm256_mul_ps(splat(0.5), u), _mm256_add_ps(splat(1.0), t))
+    }
+
+    /// GELU over the largest multiple of 8 leading elements; returns how
+    /// many it covered (the caller finishes the tail in scalar).
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gelu(x: &mut [f32]) -> usize {
+        let done = x.len() - x.len() % 8;
+        for c in x[..done].chunks_exact_mut(8) {
+            // SAFETY: `c` is exactly 8 floats; unaligned loads/stores.
+            unsafe { _mm256_storeu_ps(c.as_mut_ptr(), gelu8(_mm256_loadu_ps(c.as_ptr()))) };
+        }
+        done
+    }
+
+    /// `row[i] = exp_approx(row[i] - m)` over the largest multiple of 8
+    /// leading elements; returns how many it covered.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_shifted(row: &mut [f32], m: f32) -> usize {
+        let vm = splat(m);
+        let done = row.len() - row.len() % 8;
+        for c in row[..done].chunks_exact_mut(8) {
+            // SAFETY: `c` is exactly 8 floats; unaligned loads/stores.
+            unsafe {
+                let v = _mm256_sub_ps(_mm256_loadu_ps(c.as_ptr()), vm);
+                _mm256_storeu_ps(c.as_mut_ptr(), exp8(v));
+            }
+        }
+        done
     }
 }
 
@@ -430,6 +553,107 @@ mod tests {
         // vanishing relative to any softmax denominator.
         assert!(exp_approx(-200.0) <= 1.2e-38);
         assert!(exp_approx(200.0).is_finite());
+    }
+
+    /// Inputs for every branch of the exp/tanh/GELU arithmetic: ±0,
+    /// subnormals, both clamp edges and beyond, ±88, ±inf, NaN, the
+    /// float extremes, a dense ramp and random values.
+    fn special_sweep() -> Vec<f32> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            88.0,
+            -88.0,
+            EXP_HI,
+            88.03,
+            EXP_LO,
+            -87.34,
+            -103.9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut x = -95.0f32;
+        while x < 95.0 {
+            xs.push(x);
+            x += 0.0173;
+        }
+        xs.extend(pseudo(2003, 5).iter().map(|v| v * 24.0));
+        xs
+    }
+
+    /// Bitwise equality with every NaN equal to every other NaN.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{i}]: {g:e} ({:#x}) vs scalar {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn simd_gelu_and_exp_match_scalar_bitwise() {
+        if !crate::gemm::simd_available() {
+            return;
+        }
+        let xs = special_sweep();
+        let mut want = xs.clone();
+        gelu_scalar(&mut want);
+        let mut got = xs.clone();
+        // SAFETY: AVX2 was detected above.
+        let done = unsafe { avx2::gelu(&mut got) };
+        assert_eq!(done, xs.len() - xs.len() % 8);
+        gelu_scalar(&mut got[done..]);
+        assert_same_bits(&got, &want, "gelu");
+        for m in [0.0, 2.5, -7.0, 88.0] {
+            let want: Vec<f32> = xs.iter().map(|&v| exp_approx(v - m)).collect();
+            let mut got = xs.clone();
+            // SAFETY: AVX2 was detected above.
+            let done = unsafe { avx2::exp_shifted(&mut got, m) };
+            for v in &mut got[done..] {
+                *v = exp_approx(*v - m);
+            }
+            assert_same_bits(&got, &want, "exp");
+        }
+    }
+
+    #[test]
+    fn softmax_rows_match_the_scalar_passes_bitwise() {
+        // The dispatched `softmax_rows` (SIMD exp where available)
+        // against the three passes written out with the scalar `exp`,
+        // at row widths around the 8-lane boundary.
+        let xs = special_sweep();
+        for d in [1, 7, 8, 9, 40, 64] {
+            let xs = &xs[..xs.len() - xs.len() % d];
+            let mut want = xs.to_vec();
+            for row in want.chunks_mut(d) {
+                let m = max_lanes(row);
+                for v in row.iter_mut() {
+                    *v = exp_approx(*v - m);
+                }
+                let inv = 1.0 / sum_lanes(row);
+                for v in row.iter_mut() {
+                    *v *= inv;
+                }
+            }
+            let mut got = xs.to_vec();
+            softmax_rows(&mut got, d);
+            assert_same_bits(&got, &want, &format!("softmax d={d}"));
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! Saving writes every weight tensor — in whatever [`QuantMode`]
 //! representation the matcher currently holds — plus the model config
 //! and serving parameters as header metadata. Loading mmaps the file
-//! and builds a [`FrozenMatcher`] whose large weight matrices are views
-//! *into the mapping*: no per-weight parsing, no payload copy (only
-//! biases and norm vectors, a negligible fraction, are copied into
-//! owned `Vec`s because the hot layer-norm kernel takes slices it can
-//! assume are dense f32).
+//! and builds a [`FrozenMatcher`] whose f32/f16 weight matrices and
+//! embedding tables are views *into the mapping*: no per-weight parsing,
+//! no payload copy (only biases and norm vectors, a negligible fraction,
+//! are copied into owned `Vec`s because the hot layer-norm kernel takes
+//! slices it can assume are dense f32). Int8 weights are the exception:
+//! the file stores their `[out, in]` codes, and load repacks them once
+//! into the panel layout of the int8 GEMM (save unpacks, so the bytes
+//! on disk do not depend on the kernel's layout).
 //!
 //! The tokenizer does **not** cross the checkpoint — serialized subword
 //! vocabularies are a different concern with their own format. The
@@ -20,6 +23,7 @@ use crate::frozen::{
     FrozenRelativeBias, QuantMode, Weights,
 };
 use em_checkpoint::{Checkpoint, CheckpointError, CheckpointWriter, Dtype, TensorBuf};
+use em_kernels::PackedI8;
 use em_tokenizers::{AnyTokenizer, Tokenizer};
 use em_transformers::TransformerConfig;
 use std::path::Path;
@@ -44,9 +48,14 @@ pub struct Loaded {
 fn save_linear(w: &mut CheckpointWriter, prefix: &str, l: &FrozenLinear) {
     match &l.w {
         Weights::F32(t) | Weights::F16(t) => w.tensor(&format!("{prefix}.w"), t.clone()),
-        Weights::Int8 { qt, scales } => {
-            w.tensor(&format!("{prefix}.w"), qt.clone());
-            w.tensor(&format!("{prefix}.scale"), scales.clone());
+        Weights::Int8(p) => {
+            let (k, n) = (p.in_features(), p.out_features());
+            let (qt, scales) = p.unpack();
+            w.tensor(&format!("{prefix}.w"), TensorBuf::from_i8(qt, vec![n, k]));
+            w.tensor(
+                &format!("{prefix}.scale"),
+                TensorBuf::from_f32(scales, vec![n]),
+            );
         }
     }
     let b = TensorBuf::from_f32(l.b.clone(), vec![l.b.len()]);
@@ -86,9 +95,10 @@ fn load_linear(ckpt: &Checkpoint, prefix: &str) -> Result<FrozenLinear, Checkpoi
             }
         }
         Dtype::I8 => {
-            // Int8 codes are stored transposed: [out, in].
+            // Int8 codes are stored transposed, [out, in], and packed
+            // here once for the kernel.
             let scales = ckpt.tensor_typed(&format!("{prefix}.scale"), Dtype::F32)?;
-            let n = t.shape()[0];
+            let (n, k) = (t.shape()[0], t.shape()[1]);
             if scales.len() != n || b.len() != n {
                 return Err(bad(format!(
                     "out width {n} does not match scales {} / bias {}",
@@ -96,7 +106,10 @@ fn load_linear(ckpt: &Checkpoint, prefix: &str) -> Result<FrozenLinear, Checkpoi
                     b.len()
                 )));
             }
-            Weights::Int8 { qt: t, scales }
+            if t.as_i8().iter().any(|c| !(-63..=63).contains(c)) {
+                return Err(bad("int8 weight codes must lie in [-63, 63]".to_string()));
+            }
+            Weights::Int8(PackedI8::pack(t.as_i8(), scales.as_f32(), k, n))
         }
     };
     Ok(FrozenLinear { w, b })

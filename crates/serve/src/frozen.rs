@@ -24,8 +24,8 @@ use em_checkpoint::TensorBuf;
 use em_core::EmMatcher;
 use em_data::{Dataset, EntityPair};
 use em_kernels::{
-    dequantize_rows_i8, f16_dequantize, f16_quantize, gemm_nn_act, gemm_nn_f16_act,
-    gemm_nt_i8_dyn_act, layer_norm_rows, quantize_weights_i8, Act,
+    dequantize_rows_i8, f16_dequantize, f16_quantize, gemm_nn_act, gemm_nn_f16_act, gemm_packed_i8,
+    layer_norm_rows, quantize_weights_i8, Act, PackedI8,
 };
 use em_nn::Linear;
 use em_tensor::Array;
@@ -74,24 +74,21 @@ impl std::fmt::Display for QuantMode {
 }
 
 /// The weight payload of one dense layer, in whichever representation
-/// the model was quantized to. All variants hold [`TensorBuf`]s so a
-/// checkpoint-loaded layer is a zero-copy view into the file mapping.
+/// the model was quantized to, each in the layout its GEMM reads. The
+/// f32 and f16 variants hold [`TensorBuf`]s, so a checkpoint-loaded layer
+/// is a zero-copy view into the file mapping; int8 is repacked once at
+/// quantize or load time.
 #[derive(Debug, Clone)]
 pub(crate) enum Weights {
     /// `[in, out]` row-major f32 — the GEMM-ready layout.
     F32(TensorBuf),
     /// `[in, out]` row-major f16 bits; widened inside the kernel.
     F16(TensorBuf),
-    /// Int8 with per-output-row scales. The codes are stored transposed
-    /// (`[out, in]`, reduction-contiguous) so the integer dot product
-    /// runs along cache lines, and because the scale is constant along
-    /// the reduction axis the i32 accumulation is exact.
-    Int8 {
-        /// `[out, in]` int8 codes.
-        qt: TensorBuf,
-        /// `[out]` per-row dequantization scales.
-        scales: TensorBuf,
-    },
+    /// Int8 codes (±63) with one scale per output column, packed into
+    /// em-kernels' panel layout. Because the scale is constant along the
+    /// reduction axis the i32 accumulation is exact. Checkpoints store
+    /// the unpacked `[out, in]` codes.
+    Int8(PackedI8),
 }
 
 /// An inference-only dense layer: `y = x·W + b`, with `W` stored in any
@@ -128,7 +125,7 @@ impl FrozenLinear {
     pub fn in_features(&self) -> usize {
         match &self.w {
             Weights::F32(t) | Weights::F16(t) => t.shape()[0],
-            Weights::Int8 { qt, .. } => qt.shape()[1],
+            Weights::Int8(p) => p.in_features(),
         }
     }
 
@@ -136,7 +133,7 @@ impl FrozenLinear {
     pub fn out_features(&self) -> usize {
         match &self.w {
             Weights::F32(t) | Weights::F16(t) => t.shape()[1],
-            Weights::Int8 { qt, .. } => qt.shape()[0],
+            Weights::Int8(p) => p.out_features(),
         }
     }
 
@@ -145,7 +142,7 @@ impl FrozenLinear {
         match &self.w {
             Weights::F32(_) => QuantMode::F32,
             Weights::F16(_) => QuantMode::F16,
-            Weights::Int8 { .. } => QuantMode::Int8,
+            Weights::Int8(_) => QuantMode::Int8,
         }
     }
 
@@ -153,7 +150,7 @@ impl FrozenLinear {
     pub fn weight_bytes(&self) -> usize {
         let w = match &self.w {
             Weights::F32(t) | Weights::F16(t) => t.byte_len(),
-            Weights::Int8 { qt, scales } => qt.byte_len() + scales.byte_len(),
+            Weights::Int8(p) => p.byte_len(),
         };
         w + self.b.len() * 4
     }
@@ -164,9 +161,10 @@ impl FrozenLinear {
         match &self.w {
             Weights::F32(t) => t.as_f32().to_vec(),
             Weights::F16(t) => f16_dequantize(t.as_u16()),
-            Weights::Int8 { qt, scales } => {
-                // Stored [n, k]; dequantize then transpose back to [k, n].
-                let wt = dequantize_rows_i8(qt.as_i8(), k, scales.as_f32());
+            Weights::Int8(p) => {
+                // Codes are [n, k]; dequantize then transpose back to [k, n].
+                let (qt, scales) = p.unpack();
+                let wt = dequantize_rows_i8(&qt, k, &scales);
                 let mut w = vec![0.0f32; k * n];
                 for j in 0..n {
                     for p in 0..k {
@@ -204,10 +202,7 @@ impl FrozenLinear {
                 // ±63 codes: the range the integer GEMM's i16 intermediate
                 // is saturation-proof for (see em-kernels::quantize_weights_i8).
                 quantize_weights_i8(&wt, k, &mut qt, &mut scales);
-                Weights::Int8 {
-                    qt: TensorBuf::from_i8(qt, vec![n, k]),
-                    scales: TensorBuf::from_f32(scales, vec![n]),
-                }
+                Weights::Int8(PackedI8::pack(&qt, &scales, k, n))
             }
         };
         FrozenLinear {
@@ -226,17 +221,7 @@ impl FrozenLinear {
         match &self.w {
             Weights::F32(t) => gemm_nn_act(x, t.as_f32(), Some(&self.b), out, rows, k, n, act),
             Weights::F16(t) => gemm_nn_f16_act(x, t.as_u16(), Some(&self.b), out, rows, k, n, act),
-            Weights::Int8 { qt, scales } => gemm_nt_i8_dyn_act(
-                x,
-                qt.as_i8(),
-                scales.as_f32(),
-                Some(&self.b),
-                out,
-                rows,
-                k,
-                n,
-                act,
-            ),
+            Weights::Int8(p) => gemm_packed_i8(x, p, Some(&self.b), out, rows, act),
         }
     }
 }

@@ -424,8 +424,9 @@ impl ServeMatcher {
         Ok(version)
     }
 
-    /// Hot-swap to the checkpoint at `path`, loaded zero-copy with the
-    /// current model's tokenizer (the tokenizer does not cross the
+    /// Hot-swap to the checkpoint at `path`, loaded (zero-copy but for
+    /// int8 weights, repacked once for the kernel) with the current
+    /// model's tokenizer (the tokenizer does not cross the
     /// checkpoint; see [`crate::checkpoint`]). A checkpoint that fails to
     /// load or validate is refused with [`SwapError::Checkpoint`] and the
     /// current model keeps serving. Returns the new model version.

@@ -116,6 +116,32 @@ fn warm_forward_allocates_nothing() {
             "{mode}: {allocs} allocations over 50 warm forwards"
         );
     }
+
+    // At EM_OBS=2 replay also times every op into its `graph/op/<kind>`
+    // histogram; once each histogram exists that costs no allocation
+    // either. (Levels are process-wide, so this runs here, after the
+    // level-0 loop, rather than in a concurrent test.)
+    let q = matcher.quantize(QuantMode::Int8);
+    let mut exec = Executor::new(ExecBackend::Graph);
+    em_obs::set_level(em_obs::LEVEL_EVENTS);
+    exec.forward_hidden(&q.model, &batch);
+    let ops_before = em_obs::histogram_snapshot("graph/op/linear_qkv").map_or(0, |h| h.count);
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..50 {
+        exec.forward_hidden(&q.model, &batch);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let ops = em_obs::histogram_snapshot("graph/op/linear_qkv").map_or(0, |h| h.count);
+    em_obs::set_level(em_obs::LEVEL_OFF);
+    assert_eq!(
+        allocs, 0,
+        "EM_OBS=2: {allocs} allocations over 50 warm forwards"
+    );
+    // At least: a concurrent test's serve worker may record too.
+    assert!(
+        ops - ops_before >= 50 * q.model.config.layers as u64,
+        "one QKV timing per layer per forward"
+    );
 }
 
 /// One worker serving three length buckets: the first batch of each
