@@ -25,7 +25,7 @@
 //! stage breakdown. See the "Latency" section of EXPERIMENTS.md.
 //!
 //! With `--quant` the bench measures what quantization buys and costs:
-//! an accuracy table (F1 and worst-case score delta of f16/int8 against
+//! an accuracy table (F1 and worst-case score delta of int8 against
 //! f32, on briefly fine-tuned models of all four architectures), served
 //! throughput per representation with weight bytes streamed per pair,
 //! checkpoint save/load wall-times (zero-copy mmap load mode and a
@@ -905,8 +905,8 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// Quantization mode: the accuracy/speed/footprint trade of f16 and
-/// int8 weights against f32, plus checkpoint I/O and a live hot swap.
+/// Quantization mode: the accuracy/speed/footprint trade of int8
+/// weights against f32, plus checkpoint I/O and a live hot swap.
 fn quant_run(args: &Args) {
     let smoke = args.has("smoke");
     let seed: u64 = args.get("seed").unwrap_or(42);
@@ -920,7 +920,7 @@ fn quant_run(args: &Args) {
         .get("repeats")
         .unwrap_or(if smoke { 1 } else { 3 })
         .max(1);
-    let modes = [QuantMode::F32, QuantMode::F16, QuantMode::Int8];
+    let modes = [QuantMode::F32, QuantMode::Int8];
 
     // ---- accuracy: fine-tuned models, all four archs ----------------
     //
@@ -931,7 +931,7 @@ fn quant_run(args: &Args) {
     // every delta vacuously zero. The full run therefore replays the
     // Figure 14 recipe: pre-trained Small encoders (cached under
     // `target/em-cache`) fine-tuned on DBLP-Scholar, the dataset the
-    // scaled-down models actually learn, so the f16/int8 deltas are
+    // scaled-down models actually learn, so the int8 deltas are
     // measured on a classifier that predicts real positives. Smoke
     // keeps from-scratch tiny models — CI checks the plumbing and the
     // score-delta bound, not absolute F1.
@@ -1040,7 +1040,7 @@ fn quant_run(args: &Args) {
         // representation can matter there. Scaling to hidden 256 /
         // inner 1024 puts the attention and FFN matmuls in the regime
         // the paper's BERT-class models actually occupy (and where the
-        // int8/f16 kernels stream 2-4x fewer weight bytes per batch).
+        // int8 kernel streams 4x fewer weight bytes per batch).
         let mut c = TransformerConfig::small(arch, tokenizer.vocab_size());
         c.hidden = 256;
         c.inner = 1024;

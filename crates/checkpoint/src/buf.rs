@@ -14,8 +14,6 @@ pub(crate) enum Storage {
     File(Mapping),
     /// An in-memory f32 tensor.
     F32(Vec<f32>),
-    /// An in-memory f16-bits tensor.
-    U16(Vec<u16>),
     /// An in-memory int8 tensor.
     I8(Vec<i8>),
 }
@@ -25,7 +23,6 @@ impl Storage {
         match self {
             Storage::File(m) => (m.ptr(), m.len()),
             Storage::F32(v) => (v.as_ptr().cast(), v.len() * 4),
-            Storage::U16(v) => (v.as_ptr().cast(), v.len() * 2),
             Storage::I8(v) => (v.as_ptr().cast(), v.len()),
         }
     }
@@ -50,6 +47,8 @@ pub struct TensorBuf {
 // construction (owned Vecs are moved in and only read; mappings are
 // PROT_READ), so shared references across threads are sound.
 unsafe impl Send for TensorBuf {}
+// SAFETY: as for `Send`: every access through `&TensorBuf` is a read of
+// storage that no one mutates, so sharing the reference is sound.
 unsafe impl Sync for TensorBuf {}
 
 impl fmt::Debug for TensorBuf {
@@ -71,19 +70,6 @@ impl TensorBuf {
             offset: 0,
             len,
             dtype: Dtype::F32,
-            shape,
-        }
-    }
-
-    /// Wrap an owned f16-bits buffer.
-    pub fn from_u16(data: Vec<u16>, shape: Vec<usize>) -> TensorBuf {
-        assert_eq!(shape.iter().product::<usize>(), data.len(), "shape lies");
-        let len = data.len();
-        TensorBuf {
-            storage: Arc::new(Storage::U16(data)),
-            offset: 0,
-            len,
-            dtype: Dtype::F16,
             shape,
         }
     }
@@ -186,11 +172,6 @@ impl TensorBuf {
         self.typed(Dtype::F32)
     }
 
-    /// The elements as raw f16 bits. Panics on dtype mismatch.
-    pub fn as_u16(&self) -> &[u16] {
-        self.typed(Dtype::F16)
-    }
-
     /// The elements as `i8`. Panics on dtype mismatch.
     pub fn as_i8(&self) -> &[i8] {
         self.typed(Dtype::I8)
@@ -213,10 +194,6 @@ mod tests {
         let q = TensorBuf::from_i8(vec![-1, 2, -3], vec![3]);
         assert_eq!(q.as_i8(), &[-1, 2, -3]);
         assert_eq!(q.byte_len(), 3);
-
-        let h = TensorBuf::from_u16(vec![0x3c00, 0x4000], vec![2]);
-        assert_eq!(h.as_u16(), &[0x3c00, 0x4000]);
-        assert_eq!(h.dtype(), Dtype::F16);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod buf;
 mod format;
@@ -59,8 +60,6 @@ use std::fmt;
 pub enum Dtype {
     /// 32-bit IEEE float.
     F32,
-    /// 16-bit IEEE float, stored as raw `u16` bits.
-    F16,
     /// Signed 8-bit integer (quantized codes).
     I8,
 }
@@ -70,7 +69,6 @@ impl Dtype {
     pub fn size(self) -> usize {
         match self {
             Dtype::F32 => 4,
-            Dtype::F16 => 2,
             Dtype::I8 => 1,
         }
     }
@@ -79,7 +77,6 @@ impl Dtype {
     pub fn name(self) -> &'static str {
         match self {
             Dtype::F32 => "F32",
-            Dtype::F16 => "F16",
             Dtype::I8 => "I8",
         }
     }
@@ -88,7 +85,6 @@ impl Dtype {
     pub fn parse(s: &str) -> Option<Dtype> {
         match s {
             "F32" => Some(Dtype::F32),
-            "F16" => Some(Dtype::F16),
             "I8" => Some(Dtype::I8),
             _ => None,
         }

@@ -38,6 +38,8 @@ pub(crate) struct Mapping {
 // SAFETY: the mapping is PROT_READ (or an owned buffer that is never
 // mutated after construction), so concurrent shared access is sound.
 unsafe impl Send for Mapping {}
+// SAFETY: as for `Send`: `&Mapping` only ever reads the bytes, which
+// nothing writes while the mapping lives, so sharing it is sound.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {

@@ -6,7 +6,7 @@
 //!     [--host 127.0.0.1] [--port 7878] [--workers 2] [--batch 16] \
 //!     [--max-len 64] [--seed 42] [--queue-depth 256] [--cache 1024] \
 //!     [--max-connections 64] [--deadline-ms 10000] [--no-shed] [--smoke] \
-//!     [--checkpoint model.emck] [--quant f32|f16|int8]
+//!     [--checkpoint model.emck] [--quant f32|int8]
 //! ```
 //!
 //! Prints `listening on http://<addr>` to stdout once live (with
@@ -22,9 +22,13 @@
 //! zero-copy but for int8 weights, which are repacked once for the
 //! kernel; the tokenizer is still built in-process and validated
 //! against the file). `--quant` re-quantizes whatever model is being
-//! served (`f32`, `f16`, or `int8`); without it a checkpoint serves in
-//! the representation it was saved in. A live gateway can also be
+//! served (`f32` or `int8`); without it a checkpoint serves in the
+//! representation it was saved in. A live gateway can also be
 //! re-pointed at a new checkpoint at runtime via `POST /admin/swap`.
+//!
+//! A flag value that does not parse (`--port 80a`, `--workers two`) is
+//! a usage error: the binary exits with status 2, as it does for an
+//! unknown `--quant` or a checkpoint it cannot load.
 
 #![deny(missing_docs)]
 
@@ -44,13 +48,25 @@ use std::time::Duration;
 struct Args(Vec<String>);
 
 impl Args {
+    /// The value after `name`, parsed; `default` when the flag is absent.
+    fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        let Some(at) = self.0.iter().position(|a| a == name) else {
+            return Ok(default);
+        };
+        match self.0.get(at + 1) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("bad value for {name}: {v:?}")),
+            None => Err(format!("missing value for {name}")),
+        }
+    }
+
+    /// [`Args::parse`], exiting with status 2 on a usage error.
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parse(name, default).unwrap_or_else(|e| {
+            eprintln!("em-gateway: {e}");
+            std::process::exit(2);
+        })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -115,7 +131,7 @@ fn main() {
         match QuantMode::parse(&quant) {
             Some(mode) => frozen = frozen.quantize(mode),
             None => {
-                eprintln!("em-gateway: unknown --quant {quant:?} (use f32, f16, or int8)");
+                eprintln!("em-gateway: unknown --quant {quant:?} (use f32, int8)");
                 std::process::exit(2);
             }
         }
@@ -153,4 +169,28 @@ fn main() {
     };
     println!("listening on http://{}", gateway.addr());
     gateway.wait();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn args(line: &str) -> Args {
+        Args(line.split_whitespace().map(String::from).collect())
+    }
+
+    #[test]
+    fn flag_values_parse_default_or_fail_loudly() {
+        let a = args("--port 80a --workers 3 --batch");
+        assert_eq!(
+            a.parse::<u16>("--port", 7878),
+            Err(r#"bad value for --port: "80a""#.to_string())
+        );
+        assert_eq!(a.parse::<usize>("--workers", 2), Ok(3));
+        assert_eq!(a.parse::<u64>("--seed", 42), Ok(42));
+        assert_eq!(
+            a.parse::<usize>("--batch", 16),
+            Err("missing value for --batch".to_string())
+        );
+    }
 }

@@ -30,7 +30,7 @@ use crate::plan::Plan;
 /// Binds a plan's weight slots to a concrete model at replay time.
 ///
 /// Implementations own the weights in whatever precision they like —
-/// the executor never sees them, so an f32, f16 or int8 model (or a
+/// the executor never sees them, so an f32 or int8 model (or a
 /// hot-swapped generation) replays the same plan; the implementation
 /// picks the matching (fused-epilogue) kernel per slot.
 pub trait GraphModel {

@@ -4,7 +4,7 @@
 //! Ops reference weights *by slot* (`layer-relative`), never by value —
 //! a plan is pure geometry. That is what lets one layer schedule replay
 //! for every layer (dedupe), one plan serve every model generation
-//! behind a hot-swap cell, and the same plan drive f32, f16 and int8
+//! behind a hot-swap cell, and the same plan drive f32 and int8
 //! weights (the quantized kernel choice happens where the slot is bound,
 //! in [`crate::GraphModel::linear`]).
 

@@ -19,7 +19,7 @@
 //!    final state), and run liveness analysis so every intermediate is
 //!    an interval of one shared arena ([`Plan::build`]).
 //! 3. **Replay** — execute body × `(L − 1)` then the tail against
-//!    weights bound through [`GraphModel`], binding f32/f16/int8
+//!    weights bound through [`GraphModel`], binding f32 or int8
 //!    kernels per slot, and leave the `[batch, hidden]` CLS states
 //!    ([`GraphExecutor::run`]).
 //!

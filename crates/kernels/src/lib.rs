@@ -28,6 +28,5 @@ pub use math::{
     softmax_rows, softmax_rows_biased, tanh_approx,
 };
 pub use qgemm::{
-    dequantize_rows_i8, f16_dequantize, f16_quantize, f16_to_f32, f32_to_f16, gemm_nn_f16,
-    gemm_nn_f16_act, gemm_nt_i8_dyn, gemm_packed_i8, quantize_weights_i8, PackedI8,
+    dequantize_rows_i8, gemm_nt_i8_dyn, gemm_packed_i8, quantize_weights_i8, PackedI8,
 };

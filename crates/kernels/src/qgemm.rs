@@ -1,10 +1,11 @@
-//! Quantized GEMM paths: packed int8 and f16 weight matrices.
+//! The quantized GEMM: packed int8 weight matrices, the serving
+//! arithmetic (f32, in [`crate::gemm`], is the accuracy oracle).
 //!
 //! Serving is memory-bandwidth-bound: the frozen forward streams every
 //! weight matrix through the cache hierarchy once per batch, so the
 //! bytes a weight occupies — not the multiplies it feeds — set the
-//! throughput ceiling. These kernels shrink those bytes while keeping
-//! activations in f32:
+//! throughput ceiling. Int8 codes take a quarter of the f32 bytes, and
+//! activations stay f32 between GEMMs:
 //!
 //! * [`gemm_packed_i8`] — `C[i,j] = a_scale[i]·w_scale[j]·Σₚ Aq[i,p]·Wq[j,p]
 //!   (+ bias[j])`: the f32 activation rows are quantized per row on the
@@ -23,10 +24,6 @@
 //!   saturation-free, so every path computes the same exact integers.
 //! * [`gemm_nt_i8_dyn`] — the same GEMM from `[n, k]` codes: packs them
 //!   into thread-local scratch first (kernel probes; serving packs once).
-//! * [`gemm_nn_f16`] — the f32 NN tile with f16→f32 widening loads on
-//!   the weight operand (`vcvtph2ps` under F16C, software conversion
-//!   otherwise). Same `[k, n]` layout as [`crate::gemm_nn`], 2× less
-//!   weight traffic, no requantization error on activations.
 //!
 //! Dispatch mirrors [`crate::gemm`]: AVX2 paths are selected at runtime,
 //! row-parallelism rides the persistent [`crate::pool`], and portable
@@ -41,80 +38,6 @@
 use crate::gemm::{should_parallelize, Act};
 use crate::pool;
 use std::cell::RefCell;
-
-// ---------------------------------------------------------------------------
-// f16 <-> f32 conversion (software; the AVX2 path uses F16C when present)
-// ---------------------------------------------------------------------------
-
-/// Convert one f32 to IEEE 754 binary16 with round-to-nearest-even.
-/// Overflow saturates to ±inf; NaN payloads keep a quiet bit set.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf or NaN; force a mantissa bit for NaN so it stays NaN.
-        let payload = (man >> 13) as u16 & 0x03ff;
-        let quiet = if man != 0 { 0x0200 | payload.max(1) } else { 0 };
-        return sign | 0x7c00 | quiet;
-    }
-    let e = exp - 127 + 15;
-    if e >= 0x1f {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if e <= 0 {
-        // Subnormal half (or underflow to zero).
-        if e < -10 {
-            return sign;
-        }
-        let man = man | 0x0080_0000; // implicit leading 1
-        let shift = (14 - e) as u32;
-        let half = man >> shift;
-        let rem = man & ((1u32 << shift) - 1);
-        let midpoint = 1u32 << (shift - 1);
-        let round_up = rem > midpoint || (rem == midpoint && half & 1 == 1);
-        return sign | (half + u32::from(round_up)) as u16;
-    }
-    let half = ((e as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    let round_up = rem > 0x1000 || (rem == 0x1000 && half & 1 == 1);
-    // A mantissa carry rolls into the exponent, which is exactly the
-    // correct rounding behavior (up to and including overflow to inf).
-    sign | (half + u32::from(round_up)) as u16
-}
-
-/// Convert one IEEE 754 binary16 (as raw bits) to f32. Exact.
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = (h >> 10) & 0x1f;
-    let man = (h & 0x03ff) as u32;
-    match (exp, man) {
-        (0, 0) => f32::from_bits(sign),
-        (0, m) => {
-            // Subnormal: value is m · 2⁻²⁴, exactly representable in f32.
-            let v = m as f32 * (1.0 / 16_777_216.0);
-            if sign != 0 {
-                -v
-            } else {
-                v
-            }
-        }
-        (0x1f, 0) => f32::from_bits(sign | 0x7f80_0000),
-        (0x1f, m) => f32::from_bits(sign | 0x7f80_0000 | (m << 13)),
-        (e, m) => f32::from_bits(sign | ((e as u32 + 112) << 23) | (m << 13)),
-    }
-}
-
-/// Quantize a whole f32 slice to f16 bits.
-pub fn f16_quantize(src: &[f32]) -> Vec<u16> {
-    src.iter().map(|&v| f32_to_f16(v)).collect()
-}
-
-/// Widen a whole f16-bits slice back to f32.
-pub fn f16_dequantize(src: &[u16]) -> Vec<f32> {
-    src.iter().map(|&h| f16_to_f32(h)).collect()
-}
 
 // ---------------------------------------------------------------------------
 // int8 quantization
@@ -507,119 +430,6 @@ fn portable_i8(
     }
 }
 
-// ---------------------------------------------------------------------------
-// f16 GEMM: the NN tile with widening weight loads
-// ---------------------------------------------------------------------------
-
-/// `C = A(m×k) · B(k×n) [+ bias(n)]` where `B` is stored as f16 bits in
-/// the same `[k, n]` row-major layout [`crate::gemm_nn`] uses. Weight
-/// bytes halve; the arithmetic stays f32 (each f16 widens exactly).
-pub fn gemm_nn_f16(
-    a: &[f32],
-    bh: &[u16],
-    bias: Option<&[f32]>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm_nn_f16_act(a, bh, bias, c, m, k, n, Act::None);
-}
-
-/// [`gemm_nn_f16`] with a fused elementwise epilogue (see [`Act`]).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nn_f16_act(
-    a: &[f32],
-    bh: &[u16],
-    bias: Option<&[f32]>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    act: Act,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(bh.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if let Some(bias) = bias {
-        debug_assert_eq!(bias.len(), n);
-    }
-    if should_parallelize(m, k, n) {
-        pool::parallel_rows(c, m, n, |i0, block| {
-            serial_nn_f16(a, bh, bias, block, i0, block.len() / n, k, n);
-            act.apply(block);
-        });
-    } else {
-        serial_nn_f16(a, bh, bias, c, 0, m, k, n);
-        act.apply(c);
-    }
-}
-
-/// Whether the F16C widening-load path is usable (with AVX2+FMA).
-#[cfg(target_arch = "x86_64")]
-fn f16c_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        crate::gemm::simd_available() && std::arch::is_x86_feature_detected!("f16c")
-    })
-}
-
-fn serial_nn_f16(
-    a: &[f32],
-    bh: &[u16],
-    bias: Option<&[f32]>,
-    c: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if f16c_available() {
-        // SAFETY: AVX2, FMA and F16C were detected at runtime.
-        unsafe { avx2q::block_nn_f16(a, bh, bias, c, i0, rows, k, n) };
-        return;
-    }
-    portable_nn_f16(a, bh, bias, c, i0, rows, k, n);
-}
-
-fn portable_nn_f16(
-    a: &[f32],
-    bh: &[u16],
-    bias: Option<&[f32]>,
-    c: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut r = 0;
-    while r < rows {
-        let take = (rows - r).min(4);
-        let c_base = r * n;
-        match bias {
-            Some(bias) => {
-                for rr in 0..take {
-                    c[c_base + rr * n..c_base + (rr + 1) * n].copy_from_slice(bias);
-                }
-            }
-            None => c[c_base..c_base + take * n].fill(0.0),
-        }
-        for p in 0..k {
-            let b_row = &bh[p * n..(p + 1) * n];
-            for rr in 0..take {
-                let a_v = a[(i0 + r + rr) * k + p];
-                let c_row = &mut c[c_base + rr * n..c_base + (rr + 1) * n];
-                for (cv, &hv) in c_row.iter_mut().zip(b_row) {
-                    *cv += a_v * f16_to_f32(hv);
-                }
-            }
-        }
-        r += take;
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2q {
     use super::{Code, PackedI8, KG, MR, NR};
@@ -891,104 +701,6 @@ mod avx2q {
             }
         }
     }
-
-    /// f16 NN row block: the 4×16 broadcast-FMA tile of the f32 kernel
-    /// with `vcvtph2ps` widening loads on the weight operand.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2`, `fma` and `f16c` at runtime;
-    /// slice extents are established by the public entry points.
-    #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-    pub(super) unsafe fn block_nn_f16(
-        a: &[f32],
-        bh: &[u16],
-        bias: Option<&[f32]>,
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let mut r = 0;
-        while r < rows {
-            let take = (rows - r).min(4);
-            match take {
-                4 => tile_rows_f16::<4>(a, bh, bias, c, i0, r, k, n),
-                3 => tile_rows_f16::<3>(a, bh, bias, c, i0, r, k, n),
-                2 => tile_rows_f16::<2>(a, bh, bias, c, i0, r, k, n),
-                _ => tile_rows_f16::<1>(a, bh, bias, c, i0, r, k, n),
-            }
-            r += take;
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-    unsafe fn tile_rows_f16<const R: usize>(
-        a: &[f32],
-        bh: &[u16],
-        bias: Option<&[f32]>,
-        c: &mut [f32],
-        i0: usize,
-        r0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let n16 = n - n % 16;
-        let mut j = 0;
-        while j < n16 {
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            if let Some(bias) = bias {
-                let b0 = _mm256_loadu_ps(bias.as_ptr().add(j));
-                let b1 = _mm256_loadu_ps(bias.as_ptr().add(j + 8));
-                acc.fill([b0, b1]);
-            }
-            for p in 0..k {
-                let bp = bh.as_ptr().add(p * n + j);
-                let b0 = _mm256_cvtph_ps(_mm_loadu_si128(bp as *const __m128i));
-                let b1 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(8) as *const __m128i));
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i0 + r0 + r) * k + p));
-                    row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-                    row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                let cp = c.as_mut_ptr().add((r0 + r) * n + j);
-                _mm256_storeu_ps(cp, row[0]);
-                _mm256_storeu_ps(cp.add(8), row[1]);
-            }
-            j += 16;
-        }
-        let n8 = n - (n - n16) % 8;
-        while j < n8 {
-            let mut acc = [_mm256_setzero_ps(); R];
-            if let Some(bias) = bias {
-                acc = [_mm256_loadu_ps(bias.as_ptr().add(j)); R];
-            }
-            for p in 0..k {
-                let b0 =
-                    _mm256_cvtph_ps(_mm_loadu_si128(bh.as_ptr().add(p * n + j) as *const __m128i));
-                for (r, av) in acc.iter_mut().enumerate() {
-                    let a_v = _mm256_set1_ps(*a.get_unchecked((i0 + r0 + r) * k + p));
-                    *av = _mm256_fmadd_ps(a_v, b0, *av);
-                }
-            }
-            for (r, av) in acc.iter().enumerate() {
-                _mm256_storeu_ps(c.as_mut_ptr().add((r0 + r) * n + j), *av);
-            }
-            j += 8;
-        }
-        while j < n {
-            for r in 0..R {
-                let mut s = bias.map_or(0.0, |bb| bb[j]);
-                for p in 0..k {
-                    s += a[(i0 + r0 + r) * k + p] * super::f16_to_f32(bh[p * n + j]);
-                }
-                c[(r0 + r) * n + j] = s;
-            }
-            j += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1003,54 +715,6 @@ mod tests {
                 (s >> 8) as f32 / (1u32 << 24) as f32 - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn f16_roundtrip_is_exact_for_representable_values() {
-        for v in [
-            0.0f32,
-            -0.0,
-            1.0,
-            -1.0,
-            0.5,
-            65504.0,
-            -65504.0,
-            6.1035e-5,
-            0.099975586,
-        ] {
-            let back = f16_to_f32(f32_to_f16(v));
-            assert!(
-                (back - v).abs() <= v.abs() * 1e-3 + 1e-7,
-                "{v} -> {back} lost too much"
-            );
-        }
-        // Exactly representable halves roundtrip bit-perfectly.
-        for h in [0u16, 0x3c00, 0xbc00, 0x7bff, 0x0001, 0x03ff, 0x0400] {
-            assert_eq!(f32_to_f16(f16_to_f32(h)), h, "half bits {h:#x}");
-        }
-    }
-
-    #[test]
-    fn f16_special_values() {
-        assert_eq!(f32_to_f16(f32::INFINITY), 0x7c00);
-        assert_eq!(f32_to_f16(f32::NEG_INFINITY), 0xfc00);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        assert_eq!(f32_to_f16(1e9), 0x7c00, "overflow saturates to inf");
-        assert_eq!(f32_to_f16(1e-12), 0, "underflow flushes to zero");
-        assert!(f16_to_f32(0x7c00).is_infinite());
-        assert!(f16_to_f32(0x7e00).is_nan());
-    }
-
-    #[test]
-    fn f16_conversion_error_is_half_ulp() {
-        for &v in pseudo(2000, 11).iter() {
-            let q = f16_to_f32(f32_to_f16(v));
-            // Relative error ≤ 2⁻¹¹ for normal halves.
-            assert!(
-                (q - v).abs() <= v.abs() * 4.9e-4 + 6e-8,
-                "{v} quantized to {q}"
-            );
-        }
     }
 
     /// The activation quantizer's codes, back in two's complement.
@@ -1342,41 +1006,5 @@ mod tests {
         let mut got = vec![0.0f32; m * n];
         gemm_packed_i8(&a, &w, Some(&bias), &mut got, m, Act::Gelu);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn gemm_nn_f16_matches_widened_reference() {
-        for &(m, k, n) in &[(1, 3, 1), (5, 7, 19), (4, 16, 48), (7, 30, 33), (3, 5, 8)] {
-            let a = pseudo(m * k, 41);
-            let bf = pseudo(k * n, 42);
-            let bh = f16_quantize(&bf);
-            let bw = f16_dequantize(&bh); // exactly what the kernel sees
-            let bias = pseudo(n, 43);
-            for bias in [None, Some(&bias[..])] {
-                let mut want = vec![0.0f32; m * n];
-                crate::gemm_nn(&a, &bw, bias, &mut want, m, k, n);
-                let mut got = vec![0.0f32; m * n];
-                gemm_nn_f16(&a, &bh, bias, &mut got, m, k, n);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!((g - w).abs() <= 1e-4, "{g} vs {w} at {m}x{k}x{n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn large_parallel_f16_shapes_agree_with_f32() {
-        // Crosses the parallelism threshold so the pool path runs.
-        let (m, k, n) = (96, 72, 80);
-        let a = pseudo(m * k, 51);
-        let bh = f16_quantize(&pseudo(k * n, 53));
-        let bw = f16_dequantize(&bh);
-        let mut want = vec![0.0f32; m * n];
-        crate::gemm_nn(&a, &bw, None, &mut want, m, k, n);
-        let mut got = vec![0.0f32; m * n];
-        gemm_nn_f16(&a, &bh, None, &mut got, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-3, "{g} vs {w}");
-        }
     }
 }

@@ -4,7 +4,7 @@
 //! Saving writes every weight tensor — in whatever [`QuantMode`]
 //! representation the matcher currently holds — plus the model config
 //! and serving parameters as header metadata. Loading mmaps the file
-//! and builds a [`FrozenMatcher`] whose f32/f16 weight matrices and
+//! and builds a [`FrozenMatcher`] whose f32 weight matrices and
 //! embedding tables are views *into the mapping*: no per-weight parsing,
 //! no payload copy (only biases and norm vectors, a negligible fraction,
 //! are copied into owned `Vec`s because the hot layer-norm kernel takes
@@ -47,7 +47,7 @@ pub struct Loaded {
 
 fn save_linear(w: &mut CheckpointWriter, prefix: &str, l: &FrozenLinear) {
     match &l.w {
-        Weights::F32(t) | Weights::F16(t) => w.tensor(&format!("{prefix}.w"), t.clone()),
+        Weights::F32(t) => w.tensor(&format!("{prefix}.w"), t.clone()),
         Weights::Int8(p) => {
             let (k, n) = (p.in_features(), p.out_features());
             let (qt, scales) = p.unpack();
@@ -80,7 +80,7 @@ fn load_linear(ckpt: &Checkpoint, prefix: &str) -> Result<FrozenLinear, Checkpoi
         .as_f32()
         .to_vec();
     let w = match t.dtype() {
-        Dtype::F32 | Dtype::F16 => {
+        Dtype::F32 => {
             if t.shape()[1] != b.len() {
                 return Err(bad(format!(
                     "out width {} does not match bias length {}",
@@ -88,11 +88,7 @@ fn load_linear(ckpt: &Checkpoint, prefix: &str) -> Result<FrozenLinear, Checkpoi
                     b.len()
                 )));
             }
-            if t.dtype() == Dtype::F32 {
-                Weights::F32(t)
-            } else {
-                Weights::F16(t)
-            }
+            Weights::F32(t)
         }
         Dtype::I8 => {
             // Int8 codes are stored transposed, [out, in], and packed

@@ -40,7 +40,7 @@ impl GraphModel for FrozenModel {
             LinSlot::Fc2 => &l.fc2,
         };
         // Dispatches on the stored representation, so the planned
-        // Linear+GELU fusion reaches the f16 and int8 epilogues too.
+        // Linear+GELU fusion reaches the int8 epilogue too.
         lin.forward_flat(x, out, rows, act);
     }
 

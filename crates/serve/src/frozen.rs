@@ -5,7 +5,7 @@
 //! `Rc` handles onto a single-threaded tape. A [`FrozenModel`] holds the
 //! same weights as raw buffers (which are `Send + Sync`), so one model
 //! behind an `Arc` serves any number of worker threads. This module owns
-//! the weights and their representations (f32 / f16 / int8); the forward
+//! the weights and their representations (f32 / int8); the forward
 //! pass over them is the `em-graph` replay driven by [`Executor`]. It
 //! computes the same function as the autograd eval path — same op order,
 //! same layer-norm/softmax/GELU formulas — through the shared
@@ -24,8 +24,8 @@ use em_checkpoint::TensorBuf;
 use em_core::EmMatcher;
 use em_data::{Dataset, EntityPair};
 use em_kernels::{
-    dequantize_rows_i8, f16_dequantize, f16_quantize, gemm_nn_act, gemm_nn_f16_act, gemm_packed_i8,
-    layer_norm_rows, quantize_weights_i8, Act, PackedI8,
+    dequantize_rows_i8, gemm_nn_act, gemm_packed_i8, layer_norm_rows, quantize_weights_i8, Act,
+    PackedI8,
 };
 use em_nn::Linear;
 use em_tensor::Array;
@@ -37,10 +37,9 @@ use crate::executor::{ExecBackend, Executor};
 /// Numeric representation of a frozen model's linear weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantMode {
-    /// Full-precision `f32` weights (the freezing default).
+    /// Full-precision `f32` weights: what freezing produces, and the
+    /// oracle every int8 result is checked against.
     F32,
-    /// IEEE half-precision weights, widened to f32 inside the GEMM tile.
-    F16,
     /// Symmetric per-output-row int8 weights with dynamic per-row
     /// activation quantization (integer dot, float epilogue).
     Int8,
@@ -51,7 +50,6 @@ impl QuantMode {
     pub fn name(self) -> &'static str {
         match self {
             QuantMode::F32 => "f32",
-            QuantMode::F16 => "f16",
             QuantMode::Int8 => "int8",
         }
     }
@@ -60,7 +58,6 @@ impl QuantMode {
     pub fn parse(s: &str) -> Option<QuantMode> {
         match s {
             "f32" => Some(QuantMode::F32),
-            "f16" => Some(QuantMode::F16),
             "int8" => Some(QuantMode::Int8),
             _ => None,
         }
@@ -75,15 +72,13 @@ impl std::fmt::Display for QuantMode {
 
 /// The weight payload of one dense layer, in whichever representation
 /// the model was quantized to, each in the layout its GEMM reads. The
-/// f32 and f16 variants hold [`TensorBuf`]s, so a checkpoint-loaded layer
-/// is a zero-copy view into the file mapping; int8 is repacked once at
+/// f32 variant holds a [`TensorBuf`], so a checkpoint-loaded layer is a
+/// zero-copy view into the file mapping; int8 is repacked once at
 /// quantize or load time.
 #[derive(Debug, Clone)]
 pub(crate) enum Weights {
     /// `[in, out]` row-major f32 — the GEMM-ready layout.
     F32(TensorBuf),
-    /// `[in, out]` row-major f16 bits; widened inside the kernel.
-    F16(TensorBuf),
     /// Int8 codes (±63) with one scale per output column, packed into
     /// em-kernels' panel layout. Because the scale is constant along the
     /// reduction axis the i32 accumulation is exact. Checkpoints store
@@ -124,7 +119,7 @@ impl FrozenLinear {
     /// Input width.
     pub fn in_features(&self) -> usize {
         match &self.w {
-            Weights::F32(t) | Weights::F16(t) => t.shape()[0],
+            Weights::F32(t) => t.shape()[0],
             Weights::Int8(p) => p.in_features(),
         }
     }
@@ -132,7 +127,7 @@ impl FrozenLinear {
     /// Output width.
     pub fn out_features(&self) -> usize {
         match &self.w {
-            Weights::F32(t) | Weights::F16(t) => t.shape()[1],
+            Weights::F32(t) => t.shape()[1],
             Weights::Int8(p) => p.out_features(),
         }
     }
@@ -141,7 +136,6 @@ impl FrozenLinear {
     pub fn mode(&self) -> QuantMode {
         match &self.w {
             Weights::F32(_) => QuantMode::F32,
-            Weights::F16(_) => QuantMode::F16,
             Weights::Int8(_) => QuantMode::Int8,
         }
     }
@@ -149,7 +143,7 @@ impl FrozenLinear {
     /// Weight + bias + scale bytes actually resident for this layer.
     pub fn weight_bytes(&self) -> usize {
         let w = match &self.w {
-            Weights::F32(t) | Weights::F16(t) => t.byte_len(),
+            Weights::F32(t) => t.byte_len(),
             Weights::Int8(p) => p.byte_len(),
         };
         w + self.b.len() * 4
@@ -160,7 +154,6 @@ impl FrozenLinear {
         let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
             Weights::F32(t) => t.as_f32().to_vec(),
-            Weights::F16(t) => f16_dequantize(t.as_u16()),
             Weights::Int8(p) => {
                 // Codes are [n, k]; dequantize then transpose back to [k, n].
                 let (qt, scales) = p.unpack();
@@ -176,9 +169,8 @@ impl FrozenLinear {
         }
     }
 
-    /// Re-encode the weights in `mode`. Quantization always restarts
-    /// from the widened dense form, so converting f32 → int8 → f16
-    /// never compounds int8 error into the f16 encoding.
+    /// Re-encode the weights in `mode`, starting from the widened dense
+    /// form (int8 → f32 dequantizes; f32 → int8 quantizes per column).
     pub fn quantize(&self, mode: QuantMode) -> FrozenLinear {
         if mode == self.mode() {
             return self.clone();
@@ -187,7 +179,6 @@ impl FrozenLinear {
         let dense = self.dense();
         let w = match mode {
             QuantMode::F32 => Weights::F32(TensorBuf::from_f32(dense, vec![k, n])),
-            QuantMode::F16 => Weights::F16(TensorBuf::from_u16(f16_quantize(&dense), vec![k, n])),
             QuantMode::Int8 => {
                 // Transpose to [n, k] so each output row is contiguous,
                 // then quantize per output row.
@@ -213,14 +204,13 @@ impl FrozenLinear {
 
     /// Apply to `rows` flat row-major input rows through the kernel
     /// matching the stored representation, with the elementwise epilogue
-    /// `act` fused into the GEMM tile loop — every representation (f32,
-    /// f16, int8) applies it per register block, so the planned
+    /// `act` fused into the GEMM tile loop — both representations (f32,
+    /// int8) apply it per register block, so the planned
     /// `Linear+GELU` fusion stays quant-aware with no extra pass.
     pub(crate) fn forward_flat(&self, x: &[f32], out: &mut [f32], rows: usize, act: Act) {
         let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
             Weights::F32(t) => gemm_nn_act(x, t.as_f32(), Some(&self.b), out, rows, k, n, act),
-            Weights::F16(t) => gemm_nn_f16_act(x, t.as_u16(), Some(&self.b), out, rows, k, n, act),
             Weights::Int8(p) => gemm_packed_i8(x, p, Some(&self.b), out, rows, act),
         }
     }

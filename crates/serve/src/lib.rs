@@ -8,7 +8,8 @@
 //!
 //! 1. **Frozen export** ([`FrozenModel`] / [`FrozenMatcher`]): copy the
 //!    weights of a trained model into plain `Send + Sync` buffers, in
-//!    f32, f16 or int8.
+//!    f32 (the trainer's weights and the accuracy oracle) or int8 (the
+//!    serving arithmetic).
 //! 2. **Micro-batching matcher** ([`ServeMatcher`]): a supervised worker
 //!    pool over one `Arc`-shared frozen matcher that coalesces concurrent
 //!    requests into length-bucketed batches, with a bounded queue for

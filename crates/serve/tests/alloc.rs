@@ -85,7 +85,7 @@ fn encoding(rng: &mut StdRng, len: usize) -> Encoding {
 
 /// After two warm-up forwards (plan built, workspace and kernel scratch
 /// grown), 50 forwards at a fixed geometry allocate exactly nothing, for
-/// f32, f16 and int8 weights alike — the last layer's CLS gather and its
+/// f32 and int8 weights alike — the last layer's CLS gather and its
 /// one-row attention included, which live in the hidden-state buffer and
 /// the arena like everything else.
 #[test]
@@ -98,7 +98,7 @@ fn warm_forward_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(0x6af0);
     let encodings: Vec<Encoding> = (0..batch).map(|_| encoding(&mut rng, seq)).collect();
     let batch = Batch::from_encodings(&encodings);
-    for mode in [QuantMode::F32, QuantMode::F16, QuantMode::Int8] {
+    for mode in [QuantMode::F32, QuantMode::Int8] {
         let q = matcher.quantize(mode);
         let mut exec = Executor::new(ExecBackend::Graph);
         let cold = ALLOCS.with(Cell::get);

@@ -2,7 +2,7 @@
 //! forward must reproduce the autograd logits to 1e-5 across all four
 //! architectures (including XLNet's relative position bias), and a plan
 //! replayed under any condition — partial fill inside a larger planned
-//! envelope, swapped weights, f16/int8 weights — must score like a fresh
+//! envelope, swapped weights, int8 weights — must score like a fresh
 //! executor planning for exactly that batch.
 
 use em_core::train_tokenizer;
@@ -158,8 +158,8 @@ fn fresh_scores(matcher: &FrozenMatcher, encodings: &[Encoding]) -> Vec<f32> {
 /// One plan per (geometry, capacity envelope): batches of every fill
 /// level 1..=cap replay the envelope plan, so only the very first batch
 /// is a cache miss, and each partial fill scores exactly like a fresh
-/// un-hinted executor — in every weight representation, with f16/int8
-/// staying within the tolerances `serve.rs` holds them to against f32.
+/// un-hinted executor — in both weight representations, with int8
+/// staying within the tolerance `serve.rs` holds it to against f32.
 #[test]
 fn plan_cache_hits_across_fill_levels() {
     let arch = Architecture::Bert;
@@ -170,11 +170,7 @@ fn plan_cache_hits_across_fill_levels() {
         .map(|_| fixed_len_encoding(&mut rng, arch, 12))
         .collect();
     let f32_scores = fresh_scores(&matcher, &encodings);
-    for (mode, tol) in [
-        (QuantMode::F32, 0.0),
-        (QuantMode::F16, 5e-3),
-        (QuantMode::Int8, 5e-2),
-    ] {
+    for (mode, tol) in [(QuantMode::F32, 0.0), (QuantMode::Int8, 5e-2)] {
         let q = matcher.quantize(mode);
         let mut exec = Executor::new(ExecBackend::Graph);
         exec.set_batch_capacity(cap);

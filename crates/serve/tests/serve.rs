@@ -189,54 +189,134 @@ fn text_frozen_matcher(arch: Architecture, seed: u64, max_len: usize) -> FrozenM
     freeze_parts(&model, &head, tok, max_len)
 }
 
-/// ≥ 8 client threads hammering a 2-worker matcher must produce exactly
-/// the scores the frozen model computes sequentially.
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Batch invariance, bitwise: a pair's score depends only on the model
+/// and the pair — never on its batch, length bucket, fill level, worker
+/// or executor — because the score cache, hot swap and dedup resume all
+/// assume it. Every architecture in both weight representations, with
+/// ragged lengths spanning every length bucket of the model, is scored
+/// one encoding at a time as the reference, then
+/// - by a capacity-hinted executor at fill 1, partial and full of a
+///   short bucket and of the longest one, and in ragged chunks;
+/// - through the serving batch API with the same fill groups, and by
+///   8 concurrent clients, against 1 and 2 workers.
+///
+/// CI runs this test again under `EM_THREADS=1` and `EM_THREADS=2` (the
+/// kernel pool reads it once per process).
 #[test]
 fn concurrent_scores_match_sequential_exactly() {
-    let frozen = tiny_frozen_matcher(Architecture::Bert, 3, 24);
-    let mut rng = StdRng::seed_from_u64(99);
-    let per_client = 4;
+    let max_len = 48;
     let clients = 8;
-    let encodings: Vec<Encoding> = (0..clients * per_client)
-        .map(|_| random_encoding(&mut rng, Architecture::Bert, 24))
-        .collect();
-    // Sequential reference, one encoding at a time (batch-independence is
-    // part of what this asserts).
-    let expected: Vec<f32> = encodings
-        .iter()
-        .map(|e| frozen.score_encodings(std::slice::from_ref(e))[0])
-        .collect();
+    let cfg = |workers| {
+        ServeConfig::builder()
+            .workers(workers)
+            .max_batch(4)
+            .cache_capacity(0) // exercise the queue for every request
+            .build()
+            .unwrap()
+    };
+    for arch in Architecture::ALL {
+        let base = tiny_frozen_matcher(arch, 3, max_len);
+        let mut rng = StdRng::seed_from_u64(99);
+        let mixed: Vec<Encoding> = (0..4 * clients)
+            .map(|_| random_encoding(&mut rng, arch, max_len))
+            .collect();
+        let mut buckets: Vec<usize> = mixed.iter().map(Batch::bucket_len).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(buckets.len() >= 3, "{}: buckets {buckets:?}", arch.name());
+        // Fill groups sized to their bucket's capacity under `cfg`.
+        let (short_cap, long_cap) = (
+            cfg(1).bucket_capacity(max_len, 8),
+            cfg(1).bucket_capacity(max_len, max_len),
+        );
+        let short: Vec<Encoding> = (0..short_cap)
+            .map(|_| random_encoding(&mut rng, arch, 8))
+            .collect();
+        let long: Vec<Encoding> = (0..long_cap)
+            .map(|_| long_encoding(&mut rng, arch, max_len))
+            .collect();
+        let fills = |cap: usize| [1, cap / 2, cap];
 
-    let cfg = ServeConfig::builder()
-        .workers(2)
-        .max_batch(8)
-        .cache_capacity(0) // exercise the queue for every request
-        .build()
-        .unwrap();
-    let matcher = Arc::new(ServeMatcher::start(frozen, cfg));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let matcher = Arc::clone(&matcher);
-        let chunk: Vec<Encoding> = encodings[c * per_client..(c + 1) * per_client].to_vec();
-        handles.push(std::thread::spawn(move || {
-            chunk
-                .iter()
-                .map(|e| matcher.score(e).expect("serving failed"))
-                .collect::<Vec<f32>>()
-        }));
+        for mode in [QuantMode::F32, QuantMode::Int8] {
+            let frozen = base.quantize(mode);
+            let one_at_a_time = |encs: &[Encoding]| -> Vec<u32> {
+                encs.iter()
+                    .flat_map(|e| bits(&frozen.score_encodings(std::slice::from_ref(e))))
+                    .collect()
+            };
+            let (want_mixed, want_short, want_long) = (
+                one_at_a_time(&mixed),
+                one_at_a_time(&short),
+                one_at_a_time(&long),
+            );
+            let groups = [
+                (&short, &want_short, short_cap),
+                (&long, &want_long, long_cap),
+            ];
+            let what = |path: &str| format!("{} {mode} {path}", arch.name());
+
+            let mut exec = Executor::new(ExecBackend::Graph);
+            for (group, want, cap) in groups {
+                exec.set_batch_capacity(cap);
+                for fill in fills(cap) {
+                    let got = bits(&exec.score_encodings(&frozen, &group[..fill]));
+                    assert_eq!(got, want[..fill], "{} fill {fill}/{cap}", what("executor"));
+                }
+            }
+            exec.set_batch_capacity(short_cap);
+            let chunked: Vec<u32> = mixed
+                .chunks(5)
+                .flat_map(|c| bits(&exec.score_encodings(&frozen, c)))
+                .collect();
+            assert_eq!(chunked, want_mixed, "{}", what("executor chunks"));
+
+            for workers in [1, 2] {
+                let matcher = Arc::new(ServeMatcher::start(frozen.clone(), cfg(workers)));
+                for (group, want, cap) in groups {
+                    for fill in fills(cap) {
+                        let got = bits(&matcher.score_encodings(&group[..fill]).unwrap());
+                        assert_eq!(
+                            got,
+                            want[..fill],
+                            "{} {workers}w fill {fill}/{cap}",
+                            what("batch API")
+                        );
+                    }
+                }
+                let handles: Vec<_> = mixed
+                    .chunks(4)
+                    .map(|chunk| {
+                        let matcher = Arc::clone(&matcher);
+                        let chunk = chunk.to_vec();
+                        std::thread::spawn(move || {
+                            chunk
+                                .iter()
+                                .map(|e| matcher.score(e).expect("serving failed"))
+                                .collect::<Vec<f32>>()
+                        })
+                    })
+                    .collect();
+                let got: Vec<u32> = handles
+                    .into_iter()
+                    .flat_map(|h| bits(&h.join().expect("client thread panicked")))
+                    .collect();
+                assert_eq!(got, want_mixed, "{} {workers}w", what("concurrent clients"));
+                let offered: usize = [short_cap, long_cap]
+                    .iter()
+                    .flat_map(|&cap| fills(cap))
+                    .sum::<usize>()
+                    + mixed.len();
+                let stats = matcher.stats();
+                assert_eq!(stats.requests, offered as u64);
+                assert_eq!(stats.examples, offered as u64);
+                assert!(stats.batches >= 1);
+            }
+        }
     }
-    let mut got = Vec::new();
-    for h in handles {
-        got.extend(h.join().expect("client thread panicked"));
-    }
-    assert_eq!(got.len(), expected.len());
-    for (c, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(g, e, "request {c}: concurrent {g} vs sequential {e}");
-    }
-    let stats = matcher.stats();
-    assert_eq!(stats.requests, (clients * per_client) as u64);
-    assert_eq!(stats.examples, (clients * per_client) as u64);
-    assert!(stats.batches >= 1);
 }
 
 #[test]
@@ -962,7 +1042,7 @@ fn swap_pair(
     )
 }
 
-/// Int8 and f16 scores must track the f32 frozen scores closely on every
+/// Int8 scores must track the f32 frozen scores closely on every
 /// architecture, while touching strictly fewer weight bytes.
 #[test]
 fn quantized_scores_track_f32() {
@@ -973,26 +1053,24 @@ fn quantized_scores_track_f32() {
             .map(|_| random_encoding(&mut rng, arch, 16))
             .collect();
         let want = frozen.score_encodings(&encs);
-        for (mode, tol) in [(QuantMode::F16, 5e-3), (QuantMode::Int8, 5e-2)] {
-            let q = frozen.quantize(mode);
-            assert_eq!(q.quant(), mode);
+        let q = frozen.quantize(QuantMode::Int8);
+        assert_eq!(q.quant(), QuantMode::Int8);
+        assert!(
+            q.weight_bytes() < frozen.weight_bytes(),
+            "int8 must shrink the weight working set"
+        );
+        let got = q.score_encodings(&encs);
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
             assert!(
-                q.weight_bytes() < frozen.weight_bytes(),
-                "{mode} must shrink the weight working set"
+                (w - g).abs() < 5e-2,
+                "{} int8 score {i}: f32 {w} vs quantized {g}",
+                arch.name()
             );
-            let got = q.score_encodings(&encs);
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert!(
-                    (w - g).abs() < tol,
-                    "{} {mode} score {i}: f32 {w} vs quantized {g}",
-                    arch.name()
-                );
-            }
         }
     }
 }
 
-/// A checkpoint roundtrip is score-exact in every quant mode: the loaded
+/// A checkpoint roundtrip is score-exact in both quant modes: the loaded
 /// (mmap-backed) matcher reproduces the in-memory matcher's scores bit
 /// for bit, because the payload bytes are identical and the kernels are
 /// deterministic.
@@ -1004,7 +1082,7 @@ fn checkpoint_roundtrip_scores_exactly() {
         let encs: Vec<Encoding> = (0..6)
             .map(|_| random_encoding(&mut rng, arch, 16))
             .collect();
-        for mode in [QuantMode::F32, QuantMode::F16, QuantMode::Int8] {
+        for mode in [QuantMode::F32, QuantMode::Int8] {
             let q = frozen.quantize(mode);
             let want = q.score_encodings(&encs);
             let path = scratch_path(&format!("roundtrip-{mode}"));

@@ -82,7 +82,7 @@ fn saved_matchers_load_back_bit_identical_and_resave_to_the_same_bytes() {
     let scratch = Scratch::new("roundtrip");
     let frozen = tiny_matcher();
     let encs = encodings(9);
-    for mode in [QuantMode::Int8, QuantMode::F16, QuantMode::F32] {
+    for mode in [QuantMode::Int8, QuantMode::F32] {
         let matcher = frozen.quantize(mode);
         let want = bits(&matcher.score_encodings(&encs));
         let first = scratch.file(&format!("{mode}-1.emck"));
@@ -185,4 +185,45 @@ fn damaged_or_foreign_files_are_typed_errors_not_panics() {
         Err(CheckpointError::Metadata(msg)) => assert!(msg.contains("format_version"), "{msg}"),
         other => panic!("format_version 9: expected a Metadata error, got {other:?}"),
     }
+
+    // Files from builds that still wrote half-float weights: an f32 file
+    // patched in place (same-length replacements, so no offset moves) to
+    // claim that quant mode, or that dtype for one weight tensor.
+    let f32_file = scratch.file("f32.emck");
+    tiny_matcher().save_checkpoint(&f32_file).expect("save f32");
+    let f32_bytes = std::fs::read(&f32_file).unwrap();
+    // The first `from` after the first `after`, replaced by `to`.
+    let patch = |after: &[u8], from: &[u8], to: &[u8]| {
+        let at = find(&f32_bytes, from, find(&f32_bytes, after, 0));
+        let mut patched = f32_bytes.clone();
+        patched[at..at + to.len()].copy_from_slice(to);
+        patched
+    };
+    match try_bytes(
+        "quant.emck",
+        &patch(br#""quant""#, br#""quant":"f32""#, br#""quant":"f16""#),
+    ) {
+        Err(CheckpointError::Metadata(msg)) => assert!(msg.contains("unknown quant mode"), "{msg}"),
+        other => panic!("an unknown quant mode: expected a Metadata error, got {other:?}"),
+    }
+    let dtype = patch(
+        br#""layer0.fc1.w""#,
+        br#""dtype":"F32""#,
+        br#""dtype":"F16""#,
+    );
+    match try_bytes("dtype.emck", &dtype) {
+        Err(CheckpointError::BadTensor { name, reason }) => {
+            assert_eq!(name, "layer0.fc1.w");
+            assert!(reason.contains("unknown dtype"), "{reason}");
+        }
+        other => panic!("an unknown dtype: expected a BadTensor error, got {other:?}"),
+    }
+}
+
+/// Offset of the first `needle` in `haystack` at or after `from`.
+fn find(haystack: &[u8], needle: &[u8], from: usize) -> usize {
+    from + haystack[from..]
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("needle present")
 }
