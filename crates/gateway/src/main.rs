@@ -18,10 +18,11 @@
 //! forward passes; only the *training* is skipped, which is irrelevant
 //! to gateway behavior (routing, batching, deadlines, shedding).
 //!
-//! `--checkpoint` serves an `em-checkpoint` file instead (mmap-loaded,
-//! zero-copy but for int8 weights, which are repacked once for the
-//! kernel; the tokenizer is still built in-process and validated
-//! against the file). `--quant` re-quantizes whatever model is being
+//! `--checkpoint` serves an `em-checkpoint` file instead (mmap-loaded:
+//! embedding tables stay views into the mapping, and linear weights of
+//! both dtypes are repacked once into their kernel's panel layout; the
+//! tokenizer is still built in-process and validated against the
+//! file). `--quant` re-quantizes whatever model is being
 //! served (`f32` or `int8`); without it a checkpoint serves in the
 //! representation it was saved in. A live gateway can also be
 //! re-pointed at a new checkpoint at runtime via `POST /admin/swap`.

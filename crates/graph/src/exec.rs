@@ -395,7 +395,10 @@ mod tests {
                 LinSlot::Fc1 => (&l.fc1, self.d, self.inner),
                 LinSlot::Fc2 => (&l.fc2, self.inner, self.d),
             };
-            em_kernels::gemm_nn_act(x, w, Some(b), out, rows, k, n, act);
+            em_kernels::gemm_nn(x, w, Some(b), out, rows, k, n);
+            if act == Act::Gelu {
+                em_kernels::gelu(out);
+            }
         }
 
         fn norm(&self, layer: usize, slot: NormSlot, x: &mut [f32]) {

@@ -4,7 +4,9 @@
 //! loop in `em-tensor` that training used, and an AVX2+FMA kernel in
 //! `em-serve` that only inference could reach. em-kernels merges them:
 //! one register-blocked, runtime-dispatched GEMM in the three transpose
-//! variants autograd needs ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]), one
+//! variants autograd needs ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) plus
+//! the frozen forward's GEMMs over weights packed once into panels
+//! ([`gemm_packed_f32`], [`gemm_packed_i8`]), one
 //! set of polynomial softmax/GELU/layer-norm kernels with forward *and*
 //! backward forms, and one persistent [`pool`] that replaces both the
 //! spawn-per-call threading in training matmul and the oversubscription
@@ -21,7 +23,7 @@ pub mod math;
 pub mod pool;
 pub mod qgemm;
 
-pub use gemm::{gemm_nn, gemm_nn_act, gemm_nt, gemm_tn, simd_kind, Act};
+pub use gemm::{gemm_nn, gemm_nt, gemm_packed_f32, gemm_tn, simd_kind, Act, PackedF32};
 pub use math::{
     attn_softmax_rows, exp_approx, gelu, gelu_backward, layer_norm_backward, layer_norm_forward,
     layer_norm_rows, log_softmax_rows, residual_layer_norm_rows, softmax_backward_rows,

@@ -284,8 +284,8 @@ thread_local! {
 }
 
 /// `C = act(a_scale[i]·w_scale[j]·Σₚ Aq[i,p]·Wq[j,p] (+ bias[j]))` for
-/// the `[m, k]` f32 rows `a` against packed weights `w`: the serving
-/// replacement for [`crate::gemm_nn_act`] against an int8 matrix.
+/// the `[m, k]` f32 rows `a` against packed weights `w`: the int8 twin
+/// of [`crate::gemm_packed_f32`].
 ///
 /// Each activation row is quantized on the fly to ±127 with its own
 /// absmax scale. The integer dot product is exact, and the epilogue is

@@ -4,14 +4,15 @@
 //! Saving writes every weight tensor — in whatever [`QuantMode`]
 //! representation the matcher currently holds — plus the model config
 //! and serving parameters as header metadata. Loading mmaps the file
-//! and builds a [`FrozenMatcher`] whose f32 weight matrices and
-//! embedding tables are views *into the mapping*: no per-weight parsing,
-//! no payload copy (only biases and norm vectors, a negligible fraction,
-//! are copied into owned `Vec`s because the hot layer-norm kernel takes
-//! slices it can assume are dense f32). Int8 weights are the exception:
-//! the file stores their `[out, in]` codes, and load repacks them once
-//! into the panel layout of the int8 GEMM (save unpacks, so the bytes
-//! on disk do not depend on the kernel's layout).
+//! and builds a [`FrozenMatcher`] whose embedding tables (and XLNet's
+//! relative-bias table) are views *into the mapping*: no parsing, no
+//! payload copy. Linear weights of both representations are repacked
+//! once at load into the panel layout of their GEMM — the file stores
+//! f32 weights as the dense `[in, out]` matrix and int8 weights as
+//! `[out, in]` codes, and save unpacks, so the bytes on disk do not
+//! depend on either kernel's layout. Biases and norm vectors, a
+//! negligible fraction, are copied into owned `Vec`s because the hot
+//! layer-norm kernel takes slices it can assume are dense f32.
 //!
 //! The tokenizer does **not** cross the checkpoint — serialized subword
 //! vocabularies are a different concern with their own format. The
@@ -23,7 +24,7 @@ use crate::frozen::{
     FrozenRelativeBias, QuantMode, Weights,
 };
 use em_checkpoint::{Checkpoint, CheckpointError, CheckpointWriter, Dtype, TensorBuf};
-use em_kernels::PackedI8;
+use em_kernels::{PackedF32, PackedI8};
 use em_tokenizers::{AnyTokenizer, Tokenizer};
 use em_transformers::TransformerConfig;
 use std::path::Path;
@@ -47,7 +48,13 @@ pub struct Loaded {
 
 fn save_linear(w: &mut CheckpointWriter, prefix: &str, l: &FrozenLinear) {
     match &l.w {
-        Weights::F32(t) => w.tensor(&format!("{prefix}.w"), t.clone()),
+        Weights::F32(p) => {
+            let shape = vec![p.in_features(), p.out_features()];
+            w.tensor(
+                &format!("{prefix}.w"),
+                TensorBuf::from_f32(p.unpack(), shape),
+            );
+        }
         Weights::Int8(p) => {
             let (k, n) = (p.in_features(), p.out_features());
             let (qt, scales) = p.unpack();
@@ -88,7 +95,9 @@ fn load_linear(ckpt: &Checkpoint, prefix: &str) -> Result<FrozenLinear, Checkpoi
                     b.len()
                 )));
             }
-            Weights::F32(t)
+            // Stored dense, [in, out], and packed here once for the
+            // kernel.
+            Weights::F32(PackedF32::pack(t.as_f32(), t.shape()[0], t.shape()[1]))
         }
         Dtype::I8 => {
             // Int8 codes are stored transposed, [out, in], and packed

@@ -24,8 +24,8 @@ use em_checkpoint::TensorBuf;
 use em_core::EmMatcher;
 use em_data::{Dataset, EntityPair};
 use em_kernels::{
-    dequantize_rows_i8, gemm_nn_act, gemm_packed_i8, layer_norm_rows, quantize_weights_i8, Act,
-    PackedI8,
+    dequantize_rows_i8, gemm_packed_f32, gemm_packed_i8, layer_norm_rows, quantize_weights_i8, Act,
+    PackedF32, PackedI8,
 };
 use em_nn::Linear;
 use em_tensor::Array;
@@ -71,14 +71,15 @@ impl std::fmt::Display for QuantMode {
 }
 
 /// The weight payload of one dense layer, in whichever representation
-/// the model was quantized to, each in the layout its GEMM reads. The
-/// f32 variant holds a [`TensorBuf`], so a checkpoint-loaded layer is a
-/// zero-copy view into the file mapping; int8 is repacked once at
-/// quantize or load time.
+/// the model was quantized to, each packed once — at freeze, quantize or
+/// checkpoint load — into the panel layout its GEMM reads. Checkpoints
+/// store the unpacked matrices, so the file bytes do not depend on
+/// either kernel's layout.
 #[derive(Debug, Clone)]
 pub(crate) enum Weights {
-    /// `[in, out]` row-major f32 — the GEMM-ready layout.
-    F32(TensorBuf),
+    /// f32 weights packed into em-kernels' panel layout. Checkpoints
+    /// store the dense `[in, out]` matrix.
+    F32(PackedF32),
     /// Int8 codes (±63) with one scale per output column, packed into
     /// em-kernels' panel layout. Because the scale is constant along the
     /// reduction axis the i32 accumulation is exact. Checkpoints store
@@ -96,22 +97,18 @@ pub struct FrozenLinear {
 
 impl From<&Linear> for FrozenLinear {
     fn from(l: &Linear) -> Self {
-        let w = l.w.value();
-        FrozenLinear::from_f32(
-            w.data().to_vec(),
-            w.shape().to_vec(),
-            l.b.value().into_vec(),
-        )
+        l.w.with_value(|w| FrozenLinear::from_f32(w.data(), w.shape(), l.b.value().into_vec()))
     }
 }
 
 impl FrozenLinear {
-    /// Build a full-precision layer from a `[in, out]` weight buffer.
-    pub fn from_f32(w: Vec<f32>, shape: Vec<usize>, b: Vec<f32>) -> FrozenLinear {
+    /// Build a full-precision layer from a `[in, out]` weight buffer,
+    /// packed once for the kernel.
+    pub fn from_f32(w: &[f32], shape: &[usize], b: Vec<f32>) -> FrozenLinear {
         assert_eq!(shape.len(), 2, "linear weights must be 2-D");
         assert_eq!(b.len(), shape[1], "bias length must match out features");
         FrozenLinear {
-            w: Weights::F32(TensorBuf::from_f32(w, shape)),
+            w: Weights::F32(PackedF32::pack(w, shape[0], shape[1])),
             b,
         }
     }
@@ -119,7 +116,7 @@ impl FrozenLinear {
     /// Input width.
     pub fn in_features(&self) -> usize {
         match &self.w {
-            Weights::F32(t) => t.shape()[0],
+            Weights::F32(p) => p.in_features(),
             Weights::Int8(p) => p.in_features(),
         }
     }
@@ -127,7 +124,7 @@ impl FrozenLinear {
     /// Output width.
     pub fn out_features(&self) -> usize {
         match &self.w {
-            Weights::F32(t) => t.shape()[1],
+            Weights::F32(p) => p.out_features(),
             Weights::Int8(p) => p.out_features(),
         }
     }
@@ -143,7 +140,7 @@ impl FrozenLinear {
     /// Weight + bias + scale bytes actually resident for this layer.
     pub fn weight_bytes(&self) -> usize {
         let w = match &self.w {
-            Weights::F32(t) => t.byte_len(),
+            Weights::F32(p) => p.byte_len(),
             Weights::Int8(p) => p.byte_len(),
         };
         w + self.b.len() * 4
@@ -153,7 +150,7 @@ impl FrozenLinear {
     fn dense(&self) -> Vec<f32> {
         let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
-            Weights::F32(t) => t.as_f32().to_vec(),
+            Weights::F32(p) => p.unpack(),
             Weights::Int8(p) => {
                 // Codes are [n, k]; dequantize then transpose back to [k, n].
                 let (qt, scales) = p.unpack();
@@ -178,7 +175,7 @@ impl FrozenLinear {
         let (k, n) = (self.in_features(), self.out_features());
         let dense = self.dense();
         let w = match mode {
-            QuantMode::F32 => Weights::F32(TensorBuf::from_f32(dense, vec![k, n])),
+            QuantMode::F32 => Weights::F32(PackedF32::pack(&dense, k, n)),
             QuantMode::Int8 => {
                 // Transpose to [n, k] so each output row is contiguous,
                 // then quantize per output row.
@@ -204,13 +201,12 @@ impl FrozenLinear {
 
     /// Apply to `rows` flat row-major input rows through the kernel
     /// matching the stored representation, with the elementwise epilogue
-    /// `act` fused into the GEMM tile loop — both representations (f32,
-    /// int8) apply it per register block, so the planned
-    /// `Linear+GELU` fusion stays quant-aware with no extra pass.
+    /// `act` fused into the GEMM's row-block loop — both representations
+    /// (f32, int8) apply it per block, so the planned `Linear+GELU`
+    /// fusion stays quant-aware with no extra pass.
     pub(crate) fn forward_flat(&self, x: &[f32], out: &mut [f32], rows: usize, act: Act) {
-        let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
-            Weights::F32(t) => gemm_nn_act(x, t.as_f32(), Some(&self.b), out, rows, k, n, act),
+            Weights::F32(p) => gemm_packed_f32(x, p, Some(&self.b), out, rows, act),
             Weights::Int8(p) => gemm_packed_i8(x, p, Some(&self.b), out, rows, act),
         }
     }
@@ -333,7 +329,7 @@ impl FrozenLayer {
         let mut b = q.b.value().into_vec();
         b.extend(k.b.value().into_vec());
         b.extend(v.b.value().into_vec());
-        FrozenLinear::from_f32(w, vec![d, 3 * n], b)
+        FrozenLinear::from_f32(&w, &[d, 3 * n], b)
     }
 }
 

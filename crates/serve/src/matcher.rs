@@ -424,12 +424,13 @@ impl ServeMatcher {
         Ok(version)
     }
 
-    /// Hot-swap to the checkpoint at `path`, loaded (zero-copy but for
-    /// int8 weights, repacked once for the kernel) with the current
-    /// model's tokenizer (the tokenizer does not cross the
-    /// checkpoint; see [`crate::checkpoint`]). A checkpoint that fails to
-    /// load or validate is refused with [`SwapError::Checkpoint`] and the
-    /// current model keeps serving. Returns the new model version.
+    /// Hot-swap to the checkpoint at `path`, loaded (embedding tables
+    /// as views into the mapping, linear weights repacked once for their
+    /// kernel) with the current model's tokenizer (the tokenizer does not
+    /// cross the checkpoint; see [`crate::checkpoint`]). A checkpoint
+    /// that fails to load or validate is refused with
+    /// [`SwapError::Checkpoint`] and the current model keeps serving.
+    /// Returns the new model version.
     pub fn swap_checkpoint(&self, path: &Path) -> Result<u64, SwapError> {
         let tokenizer = self.model.load().matcher.tokenizer.clone();
         let incoming = FrozenMatcher::load_checkpoint(path, tokenizer)?;
