@@ -2,7 +2,13 @@
 //!
 //! The transcendental core is a polynomial `exp` (Cephes `expf`
 //! coefficients, ~2 ulp on the float32 range) and a `tanh` built on it —
-//! no libm call per element. On top of those sit fused row kernels for
+//! no libm call per element. Where the true `e^x` falls below f32's
+//! smallest normal the `exp` returns `+0.0`, never a subnormal: a
+//! subnormal operand costs a microcode assist in every multiply that
+//! reads it, and the additive `-1e9` mask on padded keys sends every
+//! masked score there. A masked key's softmax probability is therefore
+//! exactly zero, and the context GEMM after it multiplies by zero at full
+//! speed. On top of those sit fused row kernels for
 //! softmax, GELU and layer norm in *forward and backward* form, so the
 //! autograd tape runs the same arithmetic the frozen serving path does
 //! instead of composing each op from half-a-dozen temporary arrays.
@@ -11,9 +17,9 @@
 //! baseline x86-64), so the two forward hot loops — [`gelu`] and the exp
 //! pass of the softmax rows — carry an 8-lane AVX2 twin behind the same
 //! runtime dispatch as the GEMMs. The twin evaluates the scalar
-//! expression op for op (same clamp, same round-to-integer trick, no FMA
-//! contraction, exact division), so both paths agree bit for bit on
-//! every input, NaN and ±inf included.
+//! expression op for op (same flush and clamp, same round-to-integer
+//! trick, no FMA contraction, exact division), so both paths agree bit
+//! for bit on every input, NaN and ±inf included.
 
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 const LN2_HI: f32 = 0.693_359_4;
@@ -24,9 +30,11 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 /// sqrt(2/pi) in the tanh-approximation GELU.
 const GELU_C: f32 = 0.797_884_6;
 
-/// `exp` argument clamp: the upper bound keeps the 2^n scale factor a
+/// `exp` argument range. `EXP_LO` is the smallest f32 whose true `e^x`
+/// is a normal f32 (just above `ln 2^-126`); every argument below it
+/// flushes to `+0.0`. The upper clamp keeps the 2^n scale factor a
 /// finite exponent (n <= 127).
-const EXP_LO: f32 = -87.336_55;
+const EXP_LO: f32 = -87.336_54;
 const EXP_HI: f32 = 88.02;
 /// Cephes `expf` polynomial, highest order first.
 const EXP_POLY: [f32; 6] = [
@@ -41,9 +49,18 @@ const GELU_CUBIC: f32 = 0.044715;
 
 /// Polynomial `e^x` (Cephes `expf` coefficients, ~2 ulp on the float32
 /// range). No libm call.
+///
+/// Every argument below `EXP_LO` (−87.34, where the true `e^x` drops
+/// below f32's smallest normal), −∞ included, returns `+0.0` instead of
+/// a subnormal: each multiply that later reads a subnormal operand takes
+/// a microcode assist, and a masked attention key would otherwise carry
+/// one into the softmax normalize and the context GEMM. The argument is
+/// zeroed before the polynomial too, so no step computes a subnormal.
+/// NaN propagates.
 #[inline]
 pub fn exp_approx(x: f32) -> f32 {
-    let x = x.clamp(EXP_LO, EXP_HI);
+    let flush = x < EXP_LO;
+    let x = if flush { 0.0 } else { x }.clamp(EXP_LO, EXP_HI);
     let nf = (x * LOG2E + ROUND_MAGIC) - ROUND_MAGIC;
     let r = (x - nf * LN2_HI) - nf * LN2_LO;
     let mut p = EXP_POLY[0];
@@ -52,7 +69,11 @@ pub fn exp_approx(x: f32) -> f32 {
     }
     let y = (p * r) * r + r + 1.0;
     let scale = f32::from_bits(((nf as i32 + 127) as u32) << 23);
-    y * scale
+    if flush {
+        0.0
+    } else {
+        y * scale
+    }
 }
 
 /// `tanh` via the stable `(1 - e^{-2|y|}) / (1 + e^{-2|y|})` form.
@@ -312,6 +333,11 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2")]
     fn exp8(x: __m256) -> __m256 {
+        // Lanes below `EXP_LO` flush to +0 as in the scalar: their input
+        // is zeroed before the polynomial and their result after. The
+        // ordered compare is false for NaN, so a NaN lane is kept.
+        let flush = _mm256_cmp_ps::<_CMP_LT_OQ>(x, splat(EXP_LO));
+        let x = _mm256_andnot_ps(flush, x);
         // `vmaxps`/`vminps` return their second operand when either is
         // NaN, so with `x` second a NaN propagates exactly as through
         // `f32::clamp`.
@@ -333,7 +359,8 @@ mod avx2 {
         // `nf` is integral in [-126, 127] for every non-NaN lane; a NaN
         // lane's scale is irrelevant because `y` is already NaN.
         let n = _mm256_add_epi32(_mm256_cvttps_epi32(nf), _mm256_set1_epi32(127));
-        _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(n)))
+        let e = _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(n)));
+        _mm256_andnot_ps(flush, e)
     }
 
     #[inline]
@@ -549,9 +576,22 @@ mod tests {
             );
             x += 0.0137;
         }
-        // The input clamp floors deep-negative arguments at e^-87.34 —
-        // vanishing relative to any softmax denominator.
-        assert!(exp_approx(-200.0) <= 1.2e-38);
+        // `EXP_LO` is the boundary of f32's normal range: its own `e^x`
+        // is normal, the next f32 down's is not.
+        let below = f32::from_bits(EXP_LO.to_bits() + 1);
+        assert!((EXP_LO as f64).exp() >= f32::MIN_POSITIVE as f64);
+        assert!((below as f64).exp() < f32::MIN_POSITIVE as f64);
+        // Below it the result is exactly +0, never a subnormal.
+        for x in [below, -88.0, -103.9, -1e9, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp_approx(x).to_bits(), 0, "exp({x:e})");
+        }
+        assert!(exp_approx(f32::NAN).is_nan());
+        let mut x = -100.0f32;
+        while x < 100.0 {
+            assert!(!exp_approx(x).is_subnormal(), "exp({x}) is subnormal");
+            x += 0.001_3;
+        }
+        assert!(!exp_approx(EXP_LO).is_subnormal());
         assert!(exp_approx(200.0).is_finite());
     }
 
@@ -695,6 +735,20 @@ mod tests {
         for (f, m) in fused.iter().zip(&manual) {
             assert!((f - m).abs() <= 1e-6, "{f} vs {m}");
         }
+        assert_masked_exact_zero(&fused, d, |r, j| bias[(r / heads_times_seq) * d + j] < 0.0);
+    }
+
+    /// Every masked probability of the `d`-wide softmax rows in `p` is
+    /// exactly `+0.0`, and no probability is subnormal.
+    fn assert_masked_exact_zero(p: &[f32], d: usize, masked: impl Fn(usize, usize) -> bool) {
+        for (r, row) in p.chunks(d).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                assert!(!v.is_subnormal(), "row {r} key {j}: subnormal {v:e}");
+                if masked(r, j) {
+                    assert_eq!(v.to_bits(), 0, "row {r} key {j}: masked p = {v:e}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -740,6 +794,9 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-6, "{g} vs {w}");
             }
+            let masked = |r: usize, j: usize| mask.is_some_and(|m| m[(r / (h * t)) * t + j] < 0.0);
+            assert_masked_exact_zero(&got, t, masked);
+            assert_masked_exact_zero(&want, t, masked);
             // One query row per sample: bitwise the same row of the
             // full tensor, whichever position is asked for.
             let pos = [t - 1, 1];

@@ -666,13 +666,18 @@ impl ServeMatcher {
     /// every result must arrive within `deadline` of this call (measured
     /// once, shared by the whole batch), or its slot reports
     /// [`ServeError::Timeout`]. `None` falls back to the configured
-    /// `request_timeout`.
+    /// `request_timeout`. A budget already spent (a zero deadline) times
+    /// out every slot before anything is queued, so whether it does can
+    /// never depend on how fast a worker answers.
     pub fn score_each_deadline(
         &self,
         encodings: &[Encoding],
         deadline: Option<Duration>,
     ) -> Vec<Result<f32, ServeError>> {
         let die = self.die_at(deadline);
+        if Instant::now() >= die {
+            return vec![Err(ServeError::Timeout); encodings.len()];
+        }
         let pending: Vec<Result<Result<f32, Pending>, ServeError>> =
             encodings.iter().map(|e| self.submit(e)).collect();
         pending

@@ -692,49 +692,6 @@ fn per_request_deadline_maps_to_timeout() {
     assert!(matches!(generous[0], Ok(s) if (0.0..=1.0).contains(&s)));
 }
 
-/// Dropping the matcher without an explicit `shutdown()` must still
-/// drain and join the worker pool (the gateway relies on this when a
-/// test panics or a scope unwinds past a live matcher).
-#[test]
-fn drop_without_shutdown_joins_workers() {
-    let frozen = text_frozen_matcher(Architecture::Bert, 37, 16);
-    let cfg = ServeConfig::builder()
-        .workers(2)
-        .max_batch(4)
-        .build()
-        .unwrap();
-    let before = active_serve_threads();
-    {
-        let matcher = ServeMatcher::start(frozen, cfg);
-        matcher
-            .score_text("left entity", "right entity")
-            .expect("scoring failed");
-        // No shutdown() — Drop must do the full drain + join.
-    }
-    let after = active_serve_threads();
-    assert!(
-        after <= before,
-        "worker threads leaked across drop: {before} -> {after}"
-    );
-}
-
-/// Best-effort count of live em-serve threads via /proc (Linux-only
-/// test environment); used to show Drop joins the pool.
-fn active_serve_threads() -> usize {
-    let mut n = 0;
-    if let Ok(entries) = std::fs::read_dir("/proc/self/task") {
-        for e in entries.flatten() {
-            let comm = e.path().join("comm");
-            if let Ok(name) = std::fs::read_to_string(comm) {
-                if name.starts_with("em-serve") {
-                    n += 1;
-                }
-            }
-        }
-    }
-    n
-}
-
 // ---------------------------------------------------------------------------
 // Failure path: fault injection, supervision, shedding, degraded fallback.
 // ---------------------------------------------------------------------------
